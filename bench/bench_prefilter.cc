@@ -1,6 +1,6 @@
 // Micro-benchmarks for the prefiltering index: insertion, S(λ) lookups at
-// and above the depth cap, pruning-condition extraction and full condition
-// evaluation.
+// and above the depth cap, pruning-condition extraction (2- and 3-property
+// queries) and full condition evaluation.
 
 #include <benchmark/benchmark.h>
 
@@ -19,6 +19,7 @@ struct IndexFixture {
   index::PrefilterIndex index;
   std::vector<workload::GeneratedSpec> contracts;
   std::vector<workload::GeneratedSpec> queries;
+  std::vector<workload::GeneratedSpec> queries_3prop;
 
   IndexFixture() {
     workload::GeneratorOptions options;
@@ -36,6 +37,12 @@ struct IndexFixture {
     for (int i = 0; i < 32; ++i) {
       auto spec = qgen.Next();
       queries.push_back(std::move(*spec));
+    }
+    options.properties = 3;
+    workload::SpecGenerator q3gen(options, 0x1DEC7, &vocab, &factory);
+    for (int i = 0; i < 32; ++i) {
+      auto spec = q3gen.Next();
+      queries_3prop.push_back(std::move(*spec));
     }
   }
 };
@@ -94,6 +101,19 @@ void BM_ExtractPruningCondition(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ExtractPruningCondition);
+
+// One pass over 32 three-property queries: the shape whose automata reach
+// thousands of transitions and whose conditions reach thousands of nodes.
+void BM_ExtractPruningCondition_3Prop(benchmark::State& state) {
+  IndexFixture* f = GetFixture();
+  for (auto _ : state) {
+    for (const auto& query : f->queries_3prop) {
+      benchmark::DoNotOptimize(
+          index::ExtractPruningCondition(query.automaton));
+    }
+  }
+}
+BENCHMARK(BM_ExtractPruningCondition_3Prop);
 
 void BM_ConditionEvaluate(benchmark::State& state) {
   IndexFixture* f = GetFixture();

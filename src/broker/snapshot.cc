@@ -104,23 +104,17 @@ Result<QueryResult> DatabaseSnapshot::RunQuery(const ltl::Formula* query,
     return RunQueryAsOf(query_ba, options, std::move(result), &total);
   }
 
-  // 2. Prefilter: pruning condition → candidate set (§4). Dead contracts
-  // are scrubbed from the index by Unregister/Replace, but the live mask is
-  // ANDed in anyway — exactness must not hinge on index hygiene.
+  // 2. Prefilter: pruning condition → candidate set (§4).
   phase.Reset();
   Bitset candidates;
   {
     CTDB_OBS_SPAN(prefilter_span, "query.prefilter");
-    if (options.use_prefilter && options_.build_prefilter) {
-      const index::Condition condition =
-          index::ExtractPruningCondition(query_ba, options.pruning);
-      candidates = condition.Evaluate(prefilter_);
-      candidates.Resize(contracts_.size());
-      candidates &= live_;
-    } else {
-      candidates = live_;
-    }
+    Prefiltered prefiltered = Prefilter(query_ba, options);
+    candidates = std::move(prefiltered.candidates);
     CTDB_OBS_SPAN_ATTR(prefilter_span, "candidates", candidates.Count());
+    CTDB_OBS_SPAN_ATTR(prefilter_span, "condition_size",
+                       prefiltered.condition_size);
+    CTDB_OBS_SPAN_ATTR(prefilter_span, "overflow", prefiltered.overflowed);
   }
   result.stats.prefilter_ms = phase.ElapsedMillis();
   result.stats.candidates = candidates.Count();
@@ -188,6 +182,25 @@ Result<QueryResult> DatabaseSnapshot::RunQuery(const ltl::Formula* query,
   CTDB_OBS_SPAN_ATTR(query_span, "matches", result.stats.matches);
   RecordQueryStats(result.stats);
   return result;
+}
+
+DatabaseSnapshot::Prefiltered DatabaseSnapshot::Prefilter(
+    const automata::Buchi& query_ba, const QueryOptions& options) const {
+  Prefiltered out;
+  if (!options.use_prefilter || !options_.build_prefilter) {
+    out.candidates = live_;
+    return out;
+  }
+  const index::Condition condition = index::ExtractPruningCondition(
+      query_ba, options.pruning, &out.overflowed);
+  out.condition_size = condition.Size();
+  // Dead contracts are scrubbed from the index by Unregister/Replace, but
+  // the live mask is ANDed in anyway — exactness must not hinge on index
+  // hygiene.
+  out.candidates = condition.Evaluate(prefilter_);
+  out.candidates.Resize(contracts_.size());
+  out.candidates &= live_;
+  return out;
 }
 
 std::vector<const Contract*> DatabaseSnapshot::VisibleAt(uint64_t seq) const {
@@ -326,18 +339,8 @@ Result<std::vector<QueryResult>> DatabaseSnapshot::QueryBatch(
         stats.query_transitions = prep.ba->TransitionCount();
 
         phase.Reset();
-        Bitset candidates;
-        if (options.use_prefilter && options_.build_prefilter) {
-          const index::Condition condition =
-              index::ExtractPruningCondition(*prep.ba, options.pruning);
-          candidates = condition.Evaluate(prefilter_);
-          candidates.Resize(contracts_.size());
-          candidates &= live_;
-        } else {
-          candidates = live_;
-        }
+        prep.candidates = Prefilter(*prep.ba, options).candidates.ToVector();
         stats.prefilter_ms = phase.ElapsedMillis();
-        prep.candidates = candidates.ToVector();
         stats.candidates = prep.candidates.size();
         prep.query_events = prep.ba->CitedEvents();
       }

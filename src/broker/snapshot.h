@@ -268,6 +268,17 @@ class DatabaseSnapshot {
                                const QueryOptions& options,
                                util::ThreadPool* pool) const;
 
+  /// The prefilter stage (§4): the live contracts inside the query's
+  /// pruning-condition candidate set, or every live contract when the
+  /// prefilter is off (condition_size 0).
+  struct Prefiltered {
+    Bitset candidates;
+    size_t condition_size = 0;  ///< nodes in the evaluated condition
+    bool overflowed = false;    ///< the condition hit the cap, became TRUE
+  };
+  Prefiltered Prefilter(const automata::Buchi& query_ba,
+                        const QueryOptions& options) const;
+
   /// Runs one permission check; appends to the given output buffers.
   void CheckCandidate(const Contract& contract,
                       const automata::Buchi& query_ba,

@@ -1,97 +1,96 @@
 #include "index/condition.h"
 
-#include <algorithm>
+#include <unordered_set>
+
+#include "util/hash.h"
 
 namespace ctdb::index {
 
+Condition::Condition() : Condition(True()) {}
+
+Condition Condition::True() {
+  static const Condition kTrue = Make(Kind::kTrue, Label(), {});
+  return kTrue;
+}
+
+Condition Condition::False() {
+  static const Condition kFalse = Make(Kind::kFalse, Label(), {});
+  return kFalse;
+}
+
 Condition Condition::Leaf(Label label) {
   if (label.IsTrue()) return True();
-  Condition c(Kind::kLeaf);
-  c.label_ = std::move(label);
-  return c;
+  return Make(Kind::kLeaf, std::move(label), {});
 }
 
 Condition Condition::And(std::vector<Condition> children) {
-  std::vector<Condition> flat;
-  for (Condition& child : children) {
-    switch (child.kind_) {
-      case Kind::kFalse:
-        return False();
-      case Kind::kTrue:
-        break;  // drop
-      case Kind::kAnd:
-        for (Condition& grand : child.children_) {
-          flat.push_back(std::move(grand));
-        }
-        break;
-      default:
-        flat.push_back(std::move(child));
-        break;
-    }
-  }
-  // Deduplicate identical children.
-  std::vector<Condition> unique;
-  for (Condition& c : flat) {
-    bool dup = false;
-    for (const Condition& u : unique) {
-      if (u == c) {
-        dup = true;
-        break;
-      }
-    }
-    if (!dup) unique.push_back(std::move(c));
-  }
-  if (unique.empty()) return True();
-  if (unique.size() == 1) return std::move(unique[0]);
-  Condition c(Kind::kAnd);
-  c.children_ = std::move(unique);
-  return c;
+  return Combine(Kind::kAnd, std::move(children));
 }
 
 Condition Condition::Or(std::vector<Condition> children) {
+  return Combine(Kind::kOr, std::move(children));
+}
+
+Condition Condition::Make(Kind kind, Label label,
+                          std::vector<Condition> children) {
+  auto node = std::make_shared<Node>();
+  node->kind = kind;
+  node->label = std::move(label);
+  node->children = std::move(children);
+  node->hash = HashCombine(0, static_cast<uint64_t>(kind));
+  if (kind == Kind::kLeaf) {
+    node->hash = HashCombine(node->hash, node->label.Hash());
+  }
+  for (const Condition& child : node->children) {
+    node->size += child.Size();
+    node->hash = HashCombine(node->hash, child.Hash());
+  }
+  return Condition(std::move(node));
+}
+
+Condition Condition::Combine(Kind kind, std::vector<Condition> children) {
+  const bool conjunction = kind == Kind::kAnd;
+  const Kind absorbing = conjunction ? Kind::kFalse : Kind::kTrue;
+  const Kind neutral = conjunction ? Kind::kTrue : Kind::kFalse;
+  // Flatten same-kind children (copying handles, not subtrees) and drop the
+  // neutral constant.
   std::vector<Condition> flat;
+  flat.reserve(children.size());
   for (Condition& child : children) {
-    switch (child.kind_) {
-      case Kind::kTrue:
-        return True();
-      case Kind::kFalse:
-        break;  // drop
-      case Kind::kOr:
-        for (Condition& grand : child.children_) {
-          flat.push_back(std::move(grand));
-        }
-        break;
-      default:
-        flat.push_back(std::move(child));
-        break;
+    const Kind k = child.kind();
+    if (k == absorbing) return child;
+    if (k == neutral) continue;
+    if (k == kind) {
+      flat.insert(flat.end(), child.children().begin(),
+                  child.children().end());
+    } else {
+      flat.push_back(std::move(child));
     }
   }
+  // Keep the first occurrence of each distinct child, in order. Hash buckets
+  // confine deep comparisons to children whose hashes collide.
+  auto hash = [](const Condition* c) { return c->Hash(); };
+  auto equal = [](const Condition* a, const Condition* b) { return *a == *b; };
+  std::unordered_set<const Condition*, decltype(hash), decltype(equal)> seen(
+      flat.size());
   std::vector<Condition> unique;
-  for (Condition& c : flat) {
-    bool dup = false;
-    for (const Condition& u : unique) {
-      if (u == c) {
-        dup = true;
-        break;
-      }
-    }
-    if (!dup) unique.push_back(std::move(c));
+  unique.reserve(flat.size());
+  for (const Condition& c : flat) {
+    if (seen.insert(&c).second) unique.push_back(c);
   }
-  if (unique.empty()) return False();
+  if (unique.empty()) return conjunction ? True() : False();
   if (unique.size() == 1) return std::move(unique[0]);
-  Condition c(Kind::kOr);
-  c.children_ = std::move(unique);
-  return c;
+  return Make(kind, Label(), std::move(unique));
 }
 
 Bitset Condition::Evaluate(const PrefilterIndex& index) const {
-  switch (kind_) {
+  switch (kind()) {
     case Kind::kTrue:
       return index.universe();
     case Kind::kFalse:
       return Bitset(index.universe().size());
     case Kind::kLeaf: {
-      Bitset result = index.Lookup(label_);
+      Bitset result = index.Lookup(label());
       result.Resize(index.universe().size());
       return result;
     }
@@ -100,9 +99,9 @@ Bitset Condition::Evaluate(const PrefilterIndex& index) const {
       // one pass over the accumulator per leaf, no per-leaf Bitset
       // materialization. Non-leaf children still evaluate recursively.
       Bitset result = index.universe();
-      for (const Condition& child : children_) {
-        if (child.kind_ == Kind::kLeaf) {
-          index.LookupAndInto(child.label_, &result);
+      for (const Condition& child : children()) {
+        if (child.kind() == Kind::kLeaf) {
+          index.LookupAndInto(child.label(), &result);
         } else {
           result &= child.Evaluate(index);
         }
@@ -112,9 +111,9 @@ Bitset Condition::Evaluate(const PrefilterIndex& index) const {
     }
     case Kind::kOr: {
       Bitset result(index.universe().size());
-      for (const Condition& child : children_) {
-        if (child.kind_ == Kind::kLeaf) {
-          index.LookupOrInto(child.label_, &result);
+      for (const Condition& child : children()) {
+        if (child.kind() == Kind::kLeaf) {
+          index.LookupOrInto(child.label(), &result);
         } else {
           result |= child.Evaluate(index);
         }
@@ -126,26 +125,20 @@ Bitset Condition::Evaluate(const PrefilterIndex& index) const {
   return index.universe();
 }
 
-size_t Condition::Size() const {
-  size_t n = 1;
-  for (const Condition& child : children_) n += child.Size();
-  return n;
-}
-
 std::string Condition::ToString(const Vocabulary& vocab) const {
-  switch (kind_) {
+  switch (kind()) {
     case Kind::kTrue:
       return "TRUE";
     case Kind::kFalse:
       return "FALSE";
     case Kind::kLeaf:
-      return "S(" + label_.ToString(vocab) + ")";
+      return "S(" + label().ToString(vocab) + ")";
     case Kind::kAnd:
     case Kind::kOr: {
       std::string out = "(";
-      for (size_t i = 0; i < children_.size(); ++i) {
-        if (i > 0) out += kind_ == Kind::kAnd ? " & " : " | ";
-        out += children_[i].ToString(vocab);
+      for (size_t i = 0; i < children().size(); ++i) {
+        if (i > 0) out += kind() == Kind::kAnd ? " & " : " | ";
+        out += children()[i].ToString(vocab);
       }
       out += ")";
       return out;
@@ -155,13 +148,12 @@ std::string Condition::ToString(const Vocabulary& vocab) const {
 }
 
 bool Condition::operator==(const Condition& other) const {
-  if (kind_ != other.kind_) return false;
-  if (kind_ == Kind::kLeaf) return label_ == other.label_;
-  if (children_.size() != other.children_.size()) return false;
-  for (size_t i = 0; i < children_.size(); ++i) {
-    if (!(children_[i] == other.children_[i])) return false;
-  }
-  return true;
+  if (node_ == other.node_) return true;
+  const Node& a = *node_;
+  const Node& b = *other.node_;
+  if (a.hash != b.hash || a.kind != b.kind || a.size != b.size) return false;
+  if (a.kind == Kind::kLeaf) return a.label == b.label;
+  return a.children == b.children;
 }
 
 }  // namespace ctdb::index

@@ -1,5 +1,6 @@
 #include "index/pruning.h"
 
+#include <optional>
 #include <vector>
 
 #include "automata/ops.h"
@@ -14,6 +15,12 @@ using automata::StateId;
 using automata::Transition;
 
 namespace {
+
+/// `c`, or TRUE once it outgrows the size cap (prunes nothing — sound).
+Condition Capped(Condition c, const PruningOptions& options) {
+  return c.Size() > options.max_condition_size ? Condition::True()
+                                               : std::move(c);
+}
 
 /// Memoized per-SCC path conditions over the condensation DAG
 /// (PathConditionMode::kCondensation).
@@ -40,28 +47,17 @@ class CondensationPaths {
   /// Necessary condition for reaching component `comp` from the initial
   /// state. Tarjan's numbering is reverse-topological, so predecessors have
   /// larger component ids and the recursion is well-founded on the DAG.
-  const Condition& For(uint32_t comp) {
+  Condition For(uint32_t comp) {
     if (computed_[comp]) return cache_[comp];
     computed_[comp] = true;
-    if (comp == init_comp_) {
-      cache_[comp] = Condition::True();
-      return cache_[comp];
-    }
+    if (comp == init_comp_) return cache_[comp] = Condition::True();
     std::vector<Condition> disjuncts;
     for (const auto& [from_comp, label] : incoming_[comp]) {
-      const Condition& upstream = For(from_comp);
-      Condition conj = Condition::And({upstream, Condition::Leaf(*label)});
-      if (conj.Size() > options_.max_condition_size) {
-        conj = Condition::True();
-      }
-      disjuncts.push_back(std::move(conj));
+      disjuncts.push_back(Capped(
+          Condition::And({For(from_comp), Condition::Leaf(*label)}),
+          options_));
     }
-    Condition result = Condition::Or(std::move(disjuncts));
-    if (result.Size() > options_.max_condition_size) {
-      result = Condition::True();
-    }
-    cache_[comp] = std::move(result);
-    return cache_[comp];
+    return cache_[comp] = Capped(Condition::Or(std::move(disjuncts)), options_);
   }
 
  private:
@@ -90,35 +86,23 @@ class StatePaths {
     incoming_ = query.BuildReverseAdjacency();
   }
 
-  const Condition& For(StateId s) {
+  Condition For(StateId s) {
     if (state_[s] == State::kDone) return cache_[s];
-    if (state_[s] == State::kInProgress) {
-      // current_path cut: contribute no constraint.
-      static const Condition kTrue = Condition::True();
-      return kTrue;
-    }
+    // current_path cut: contribute no constraint.
+    if (state_[s] == State::kInProgress) return Condition::True();
     state_[s] = State::kInProgress;
     Condition result;
-    if (s == query_.initial()) {
-      result = Condition::True();
-    } else {
+    if (s != query_.initial()) {
       std::vector<Condition> disjuncts;
       for (const auto& [pred, edge_index] : incoming_[s]) {
         const Label& label = query_.Out(pred)[edge_index].label;
-        Condition conj = Condition::And({For(pred), Condition::Leaf(label)});
-        if (conj.Size() > options_.max_condition_size) {
-          conj = Condition::True();
-        }
-        disjuncts.push_back(std::move(conj));
+        disjuncts.push_back(Capped(
+            Condition::And({For(pred), Condition::Leaf(label)}), options_));
       }
-      result = Condition::Or(std::move(disjuncts));
-      if (result.Size() > options_.max_condition_size) {
-        result = Condition::True();
-      }
+      result = Capped(Condition::Or(std::move(disjuncts)), options_);
     }
-    cache_[s] = std::move(result);
     state_[s] = State::kDone;
-    return cache_[s];
+    return cache_[s] = std::move(result);
   }
 
  private:
@@ -143,9 +127,11 @@ Condition IncomingCycleCondition(
 }
 
 /// The complete variant: disjunction over simple cycles through `t` of the
-/// conjunction of their labels, found by bounded DFS inside t's SCC. Returns
-/// false (and leaves `out` untouched) when a bound was hit.
-bool BoundedCycleCondition(const Buchi& query, const SccInfo& scc, StateId t,
+/// conjunction of their labels, found by bounded DFS inside t's SCC, which
+/// has `comp_size` states. Returns false (and leaves `out` untouched) when a
+/// bound was hit.
+bool BoundedCycleCondition(const Buchi& query, const SccInfo& scc,
+                           size_t comp_size, StateId t,
                            const PruningOptions& options, Condition* out) {
   const uint32_t comp = scc.component[t];
 
@@ -153,10 +139,6 @@ bool BoundedCycleCondition(const Buchi& query, const SccInfo& scc, StateId t,
   // cycle through t. All simple cycles have length ≤ |SCC|, so enumeration
   // is complete exactly when the SCC fits the length bound; otherwise fall
   // back to the sound approximation.
-  size_t comp_size = 0;
-  for (StateId s = 0; s < query.StateCount(); ++s) {
-    if (scc.component[s] == comp) ++comp_size;
-  }
   if (comp_size > options.max_cycle_length) return false;
 
   std::vector<Condition> cycles;
@@ -207,12 +189,18 @@ bool BoundedCycleCondition(const Buchi& query, const SccInfo& scc, StateId t,
 }  // namespace
 
 Condition ExtractPruningCondition(const Buchi& query,
-                                  const PruningOptions& options) {
+                                  const PruningOptions& options,
+                                  bool* overflowed) {
   const Bitset reachable = automata::ReachableStates(query);
   const SccInfo scc = automata::ComputeScc(query);
 
-  CondensationPaths condensation(query, scc, options);
-  StatePaths state_paths(query, options);
+  std::optional<CondensationPaths> condensation;
+  std::optional<StatePaths> state_paths;
+  if (options.path_mode == PathConditionMode::kMemoizedStatePaths) {
+    state_paths.emplace(query, options);
+  } else {
+    condensation.emplace(query, scc, options);
+  }
 
   // Per state: incoming transitions from inside its SCC.
   std::vector<std::vector<const Label*>> in_scc_incoming(query.StateCount());
@@ -224,6 +212,15 @@ Condition ExtractPruningCondition(const Buchi& query,
     }
   }
 
+  // Per component: its state count (kBoundedCycles' completeness guard).
+  std::vector<size_t> comp_size;
+  if (options.cycle_mode == CycleConditionMode::kBoundedCycles) {
+    comp_size.resize(scc.count, 0);
+    for (StateId s = 0; s < query.StateCount(); ++s) {
+      ++comp_size[scc.component[s]];
+    }
+  }
+
   std::vector<Condition> lasso_conditions;
   for (size_t st : query.finals().Indices()) {
     const StateId t = static_cast<StateId>(st);
@@ -232,25 +229,20 @@ Condition ExtractPruningCondition(const Buchi& query,
     if (!scc.cyclic[comp]) continue;  // no lasso can knot here
 
     Condition cycle;
-    bool have_cycle = false;
-    if (options.cycle_mode == CycleConditionMode::kBoundedCycles) {
-      have_cycle = BoundedCycleCondition(query, scc, t, options, &cycle);
-    }
-    if (!have_cycle) {
+    if (options.cycle_mode != CycleConditionMode::kBoundedCycles ||
+        !BoundedCycleCondition(query, scc, comp_size[comp], t, options,
+                               &cycle)) {
       cycle = IncomingCycleCondition(in_scc_incoming, t);
     }
-
-    const Condition& path =
-        options.path_mode == PathConditionMode::kMemoizedStatePaths
-            ? state_paths.For(t)
-            : condensation.For(comp);
-
-    Condition lasso = Condition::And({std::move(cycle), path});
-    if (lasso.Size() > options.max_condition_size) lasso = Condition::True();
-    lasso_conditions.push_back(std::move(lasso));
+    Condition path =
+        state_paths ? state_paths->For(t) : condensation->For(comp);
+    lasso_conditions.push_back(Capped(
+        Condition::And({std::move(cycle), std::move(path)}), options));
   }
   Condition result = Condition::Or(std::move(lasso_conditions));
-  if (result.Size() > options.max_condition_size) {
+  const bool overflow = result.Size() > options.max_condition_size;
+  if (overflowed != nullptr) *overflowed = overflow;
+  if (overflow) {
     CTDB_OBS_COUNT("prefilter.condition_overflow", 1);
     return Condition::True();
   }

@@ -66,8 +66,11 @@ struct PruningOptions {
   size_t max_cycles_per_knot = 64;
 };
 
-/// \brief Computes the pruning condition of `query` (Algorithm 1).
+/// \brief Computes the pruning condition of `query` (Algorithm 1). When
+/// `overflowed` is given it is set to whether the condition outgrew
+/// `options.max_condition_size` and was replaced by TRUE.
 Condition ExtractPruningCondition(const automata::Buchi& query,
-                                  const PruningOptions& options = {});
+                                  const PruningOptions& options = {},
+                                  bool* overflowed = nullptr);
 
 }  // namespace ctdb::index

@@ -101,6 +101,77 @@ TEST_F(ConditionTest, SizeAndToString) {
   EXPECT_EQ(Condition::True().ToString(vocab_), "TRUE");
 }
 
+TEST_F(ConditionTest, EqualSubtreesBuiltSeparatelyDedup) {
+  auto build = [] {
+    return Condition::And({Condition::Leaf(L({{0, false}})),
+                           Condition::Leaf(L({{1, true}}))});
+  };
+  const Condition first = build();
+  const Condition second = build();
+  EXPECT_EQ(first, second);
+  EXPECT_EQ(first.Hash(), second.Hash());
+  const Condition c =
+      Condition::Or({first, Condition::Leaf(L({{2, false}})), second});
+  ASSERT_EQ(c.children().size(), 2u);
+  EXPECT_EQ(c.ToString(vocab_), "((S(a) & S(!b)) | S(c))");
+  // Order matters: a permuted conjunction is a different child.
+  const Condition permuted = Condition::And(
+      {Condition::Leaf(L({{1, true}})), Condition::Leaf(L({{0, false}}))});
+  EXPECT_NE(permuted, first);
+  EXPECT_EQ(Condition::Or({first, permuted}).children().size(), 2u);
+}
+
+TEST_F(ConditionTest, LabelsOfDifferentCapacityDedup) {
+  const Label narrow = L({{0, false}, {1, true}});
+  Label wide(256);
+  wide.AddPositive(0);
+  wide.AddNegative(1);
+  ASSERT_NE(narrow.positive().size(), wide.positive().size());
+  const Condition a = Condition::Leaf(narrow);
+  const Condition b = Condition::Leaf(wide);
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(a.Hash(), b.Hash());
+  EXPECT_EQ(Condition::Or({a, b}).kind(), Condition::Kind::kLeaf);
+  const Condition c = Condition::Leaf(L({{2, false}}));
+  EXPECT_EQ(Condition::And({Condition::Or({a, c}), Condition::Or({b, c})})
+                .kind(),
+            Condition::Kind::kOr);
+}
+
+TEST_F(ConditionTest, SizeCountsSharedSubtermPerOccurrence) {
+  const Condition shared = Condition::Or(
+      {Condition::Leaf(L({{0, false}})), Condition::Leaf(L({{1, false}}))});
+  ASSERT_EQ(shared.Size(), 3u);
+  const Condition top = Condition::Or({
+      Condition::And({shared, Condition::Leaf(L({{2, false}}))}),
+      Condition::And({shared, Condition::Leaf(L({{3, false}}))}),
+  });
+  // Both conjunctions hold the very same node…
+  EXPECT_EQ(&top.children()[0].children()[0].children(),
+            &top.children()[1].children()[0].children());
+  // …but the tree size counts it twice: Or + 2 × (And + 3 + leaf).
+  EXPECT_EQ(top.Size(), 11u);
+  EXPECT_EQ(top.ToString(vocab_),
+            "(((S(a) | S(b)) & S(c)) | ((S(a) | S(b)) & S(d)))");
+}
+
+TEST_F(ConditionTest, CopiesShareNodes) {
+  const Condition original = Condition::And(
+      {Condition::Leaf(L({{0, false}})), Condition::Leaf(L({{1, false}}))});
+  const Condition copy = original;
+  EXPECT_EQ(&copy.children(), &original.children());
+  // Embedding shares the subtree…
+  const Condition parent =
+      Condition::Or({original, Condition::Leaf(L({{2, false}}))});
+  EXPECT_EQ(&parent.children()[0].children(), &original.children());
+  // …and flattening shares the grandchildren themselves.
+  const Condition flat =
+      Condition::And({original, Condition::Leaf(L({{2, false}}))});
+  ASSERT_EQ(flat.children().size(), 3u);
+  EXPECT_EQ(&flat.children()[0].label(), &original.children()[0].label());
+  EXPECT_EQ(&flat.children()[1].label(), &original.children()[1].label());
+}
+
 TEST_F(ConditionTest, EvaluationIsMonotone) {
   // Adding a contract to the index can only grow every condition's result.
   const Condition c = Condition::Or({

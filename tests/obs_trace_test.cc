@@ -148,6 +148,15 @@ TEST(ObsTraceTest, GoldenQueryTraceSkeleton) {
   };
   EXPECT_EQ(Skeleton(events), golden);
 
+  // The prefilter span names the condition that it evaluated.
+  const TraceEvent& prefilter = events[1];
+  ASSERT_EQ(prefilter.attrs.size(), 3u);
+  EXPECT_EQ(prefilter.attrs[0].first, "candidates");
+  EXPECT_EQ(prefilter.attrs[1].first, "condition_size");
+  EXPECT_GE(prefilter.attrs[1].second, 1u);
+  EXPECT_EQ(prefilter.attrs[2].first, "overflow");
+  EXPECT_EQ(prefilter.attrs[2].second, 0u);
+
   // The query root carries the outcome as attributes.
   const TraceEvent& root = events.back();
   ASSERT_EQ(root.attrs.size(), 2u);

@@ -172,6 +172,28 @@ TEST(PruningTest, SizeCapDegradesToTrue) {
   EXPECT_LE(c.Size(), 4u);  // degraded, not exponential
 }
 
+TEST(PruningTest, FinalOverflowIsReported) {
+  // Two disjoint lassos: each lasso condition (one node) fits a cap of 2,
+  // their disjunction (three nodes) does not.
+  Buchi ba;
+  const StateId f1 = ba.AddState();
+  const StateId f2 = ba.AddState();
+  ba.SetFinal(f1);
+  ba.SetFinal(f2);
+  ba.AddTransition(0, L({{0, false}}), f1);
+  ba.AddTransition(f1, L({{0, false}}), f1);
+  ba.AddTransition(0, L({{1, false}}), f2);
+  ba.AddTransition(f2, L({{1, false}}), f2);
+  PruningOptions capped;
+  capped.max_condition_size = 2;
+  bool overflowed = false;
+  EXPECT_EQ(ExtractPruningCondition(ba, capped, &overflowed).kind(),
+            Condition::Kind::kTrue);
+  EXPECT_TRUE(overflowed);
+  EXPECT_EQ(ExtractPruningCondition(ba, {}, &overflowed).Size(), 3u);
+  EXPECT_FALSE(overflowed);
+}
+
 TEST(PruningTest, StatePathModeIsSoundOnDiamond) {
   // Two parallel prefixes a / b into a final loop on c: both modes must keep
   // contracts compatible with either prefix.

@@ -2,15 +2,16 @@
 """Record a pinned benchmark set into the committed perf trajectory.
 
 Runs the pinned google-benchmark binaries (bench_permission,
-bench_translate, bench_query_batch by default) and appends one entry per
-bench to the root-level ``BENCH_<name>.json`` trajectory files:
+bench_translate, bench_query_batch, bench_prefilter by default) and appends
+one entry per bench to the root-level ``BENCH_<name>.json`` trajectory
+files:
 
     {
       "bench": "permission",
       "unit": "ns",
       "entries": [
         {
-          "sha": "<git rev-parse HEAD>",
+          "sha": "<git rev-parse HEAD>[+dirty]",
           "date": "2026-08-09T12:00:00Z",
           "host": "<cpu model> x<cores>",
           "scale": 0.02,
@@ -44,7 +45,7 @@ import subprocess
 import sys
 import tempfile
 
-DEFAULT_BENCHES = ["permission", "translate", "query_batch"]
+DEFAULT_BENCHES = ["permission", "translate", "query_batch", "prefilter"]
 
 
 def repo_root():
@@ -53,10 +54,15 @@ def repo_root():
 
 
 def git_sha(root):
+    """HEAD's sha, with "+dirty" when tracked files differ from HEAD (an
+    entry measured on uncommitted changes, e.g. the after half of a pair)."""
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=root, capture_output=True,
+                              text=True, check=True).stdout.strip()
     try:
-        out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root,
-                             capture_output=True, text=True, check=True)
-        return out.stdout.strip()
+        sha = git("rev-parse", "HEAD")
+        dirty = git("status", "--porcelain", "--untracked-files=no")
+        return sha + "+dirty" if dirty else sha
     except (subprocess.CalledProcessError, FileNotFoundError):
         return "unknown"
 
