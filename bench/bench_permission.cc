@@ -123,22 +123,6 @@ BENCHMARK(BM_Generated_NestedDfs_Seeds);
 BENCHMARK(BM_Generated_NestedDfs_NoSeeds);
 BENCHMARK(BM_Generated_Scc);
 
-// The SCC checker's eager (full product + classify) vs. lazy (on-the-fly,
-// stop at the first accepting SCC) construction. The ticket fixture permits
-// its query, so the early exit skips the unexplored product remainder.
-void BM_Ticket_Scc_Eager(benchmark::State& state) {
-  Fixture* fixture = TicketFixture();
-  core::PermissionOptions options;
-  options.algorithm = core::PermissionAlgorithm::kScc;
-  options.early_exit = false;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::Permits(fixture->contract,
-                                           fixture->contract_events,
-                                           fixture->query, options));
-  }
-}
-BENCHMARK(BM_Ticket_Scc_Eager);
-
 /// One end-to-end universe per translation-cache capacity: the
 /// repeated-query workload below cycles a fixed query set against it, the
 /// regime the cache is built for (same structures queried again and again).

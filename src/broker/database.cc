@@ -147,40 +147,15 @@ Result<uint32_t> ContractDatabase::RegisterAutomatonLocked(
   stats = StatsOrObsFallback(stats, &obs_stats);
   // Validation failures return before any master state is touched, so the
   // published snapshot is untouched too.
-  CTDB_RETURN_NOT_OK(ba.Validate());
   CTDB_ASSIGN_OR_RETURN(const uint64_t at, ResolveClockLocked(clock));
-  auto contract = std::make_unique<Contract>();
-  contract->id = static_cast<uint32_t>(contracts_.size());
-  contract->name = std::move(name);
-  contract->ltl_text = std::move(ltl_text);
-  contract->events = std::move(events);
-  contract->valid_from = at;
-  if (stats != nullptr) {
-    stats->ba_states = ba.StateCount();
-    stats->ba_transitions = ba.TransitionCount();
-  }
-
-  Timer timer;
-  contract->seed_states = core::ComputeSeedStates(ba);
-
-  timer.Reset();
-  if (options_.build_projections) {
-    CTDB_OBS_SPAN(proj_span, "register.projections");
-    contract->projections = projection::ContractProjections::Precompute(
-        std::move(ba), options_.projections, EnsurePool(options_.threads));
-    if (stats != nullptr) {
-      stats->projection_precompute_ms = timer.ElapsedMillis();
-      const projection::ProjectionStats ps = contract->projections.stats();
-      stats->projection_subsets = ps.subsets_computed;
-      stats->projection_distinct = ps.distinct_partitions;
-    }
-  } else {
-    contract->projections =
-        projection::ContractProjections::WrapOnly(std::move(ba));
-  }
+  CTDB_ASSIGN_OR_RETURN(
+      std::unique_ptr<Contract> contract,
+      BuildContract(static_cast<uint32_t>(contracts_.size()), std::move(name),
+                    std::move(ltl_text), std::move(ba), std::move(events), at,
+                    EnsurePool(options_.threads), stats));
 
   if (options_.build_prefilter) {
-    timer.Reset();
+    Timer timer;
     CTDB_OBS_SPAN(prefilter_span, "register.prefilter_insert");
     prefilter_.Insert(contract->id, contract->projections.original(),
                       contract->events);
@@ -196,6 +171,40 @@ Result<uint32_t> ContractDatabase::RegisterAutomatonLocked(
   clock_ = at;
   Publish();
   return id;
+}
+
+Result<std::unique_ptr<Contract>> ContractDatabase::BuildContract(
+    uint32_t id, std::string name, std::string ltl_text, automata::Buchi ba,
+    Bitset events, uint64_t valid_from, util::ThreadPool* pool,
+    RegistrationStats* stats) const {
+  CTDB_RETURN_NOT_OK(ba.Validate());
+  auto contract = std::make_unique<Contract>();
+  contract->id = id;
+  contract->name = std::move(name);
+  contract->ltl_text = std::move(ltl_text);
+  contract->events = std::move(events);
+  contract->valid_from = valid_from;
+  if (stats != nullptr) {
+    stats->ba_states = ba.StateCount();
+    stats->ba_transitions = ba.TransitionCount();
+  }
+  contract->seed_states = core::ComputeSeedStates(ba);
+  if (!options_.build_projections) {
+    contract->projections =
+        projection::ContractProjections::WrapOnly(std::move(ba));
+    return contract;
+  }
+  Timer timer;
+  CTDB_OBS_SPAN(proj_span, "register.projections");
+  contract->projections = projection::ContractProjections::Precompute(
+      std::move(ba), options_.projections, pool);
+  if (stats != nullptr) {
+    stats->projection_precompute_ms = timer.ElapsedMillis();
+    const projection::ProjectionStats ps = contract->projections.stats();
+    stats->projection_subsets = ps.subsets_computed;
+    stats->projection_distinct = ps.distinct_partitions;
+  }
+  return contract;
 }
 
 Result<uint64_t> ContractDatabase::Unregister(uint32_t id, uint64_t clock) {
@@ -246,34 +255,12 @@ Result<uint64_t> ContractDatabase::Replace(uint32_t id,
       automata::Buchi ba,
       translate::LtlToBuchi(spec, &factory_, options_.translate));
   if (stats != nullptr) stats->translate_ms = timer.ElapsedMillis();
-  CTDB_RETURN_NOT_OK(ba.Validate());
-
   std::shared_ptr<const Contract> old = contracts_[id];
-  auto fresh = std::make_unique<Contract>();
-  fresh->id = id;
-  fresh->name = old->name;
-  fresh->ltl_text = std::string(ltl_text);
-  fresh->events = std::move(events);
-  fresh->valid_from = at;
-  if (stats != nullptr) {
-    stats->ba_states = ba.StateCount();
-    stats->ba_transitions = ba.TransitionCount();
-  }
-  fresh->seed_states = core::ComputeSeedStates(ba);
-  timer.Reset();
-  if (options_.build_projections) {
-    fresh->projections = projection::ContractProjections::Precompute(
-        std::move(ba), options_.projections, EnsurePool(options_.threads));
-    if (stats != nullptr) {
-      stats->projection_precompute_ms = timer.ElapsedMillis();
-      const projection::ProjectionStats ps = fresh->projections.stats();
-      stats->projection_subsets = ps.subsets_computed;
-      stats->projection_distinct = ps.distinct_partitions;
-    }
-  } else {
-    fresh->projections =
-        projection::ContractProjections::WrapOnly(std::move(ba));
-  }
+  CTDB_ASSIGN_OR_RETURN(
+      std::unique_ptr<Contract> fresh,
+      BuildContract(id, old->name, std::string(ltl_text), std::move(ba),
+                    std::move(events), at, EnsurePool(options_.threads),
+                    stats));
   if (options_.build_prefilter) {
     timer.Reset();
     prefilter_.Remove(id, old->projections.original(), old->events);
@@ -298,20 +285,11 @@ Result<uint32_t> ContractDatabase::RestoreContract(
   if (id < contracts_.size()) {
     return Status::InvalidArgument("restored contract ids must ascend");
   }
-  CTDB_RETURN_NOT_OK(ba.Validate());
-  auto contract = std::make_unique<Contract>();
-  contract->id = id;
-  contract->name = std::move(name);
-  contract->ltl_text = std::move(ltl_text);
-  contract->events = std::move(events);
-  contract->valid_from = valid_from;
-  contract->seed_states = core::ComputeSeedStates(ba);
-  contract->projections =
-      options_.build_projections
-          ? projection::ContractProjections::Precompute(
-                std::move(ba), options_.projections,
-                EnsurePool(options_.threads))
-          : projection::ContractProjections::WrapOnly(std::move(ba));
+  CTDB_ASSIGN_OR_RETURN(
+      std::unique_ptr<Contract> contract,
+      BuildContract(id, std::move(name), std::move(ltl_text), std::move(ba),
+                    std::move(events), valid_from,
+                    EnsurePool(options_.threads), nullptr));
   if (options_.build_prefilter) {
     prefilter_.Insert(id, contract->projections.original(), contract->events);
   }
@@ -330,20 +308,11 @@ Status ContractDatabase::RestoreHistoryVersion(
   if (valid_to <= valid_from) {
     return Status::InvalidArgument("history version has an empty period");
   }
-  CTDB_RETURN_NOT_OK(ba.Validate());
-  auto contract = std::make_shared<Contract>();
-  contract->id = id;
-  contract->name = std::move(name);
-  contract->ltl_text = std::move(ltl_text);
-  contract->events = std::move(events);
-  contract->valid_from = valid_from;
-  contract->seed_states = core::ComputeSeedStates(ba);
-  contract->projections =
-      options_.build_projections
-          ? projection::ContractProjections::Precompute(
-                std::move(ba), options_.projections,
-                EnsurePool(options_.threads))
-          : projection::ContractProjections::WrapOnly(std::move(ba));
+  CTDB_ASSIGN_OR_RETURN(
+      std::shared_ptr<const Contract> contract,
+      BuildContract(id, std::move(name), std::move(ltl_text), std::move(ba),
+                    std::move(events), valid_from,
+                    EnsurePool(options_.threads), nullptr));
   history_ = history_->Append(
       ContractVersion{std::move(contract), valid_from, valid_to});
   Publish();
@@ -403,12 +372,12 @@ Result<std::vector<uint32_t>> ContractDatabase::RegisterBatch(
   // Phase 2 (parallel): each worker re-parses into a thread-local factory
   // (read-only against the master vocabulary — every event id is already
   // fixed, and the vocabulary is stable under writer_mutex_), translates,
-  // and runs the expensive precomputations. No shared mutable state.
-  struct Built {
-    Status status = Status::OK();
-    std::unique_ptr<Contract> contract;
-  };
-  std::vector<Built> built(entries.size());
+  // and builds the contract. No shared mutable state.
+  std::vector<Result<std::unique_ptr<Contract>>> built;
+  built.reserve(entries.size());
+  for (size_t i = 0; i < entries.size(); ++i) {
+    built.emplace_back(Status::Internal("contract not built"));
+  }
 
   const size_t workers = std::max<size_t>(
       1, std::min(ResolveThreads(threads),
@@ -421,28 +390,18 @@ Result<std::vector<uint32_t>> ContractDatabase::RegisterBatch(
   auto build_range = [&](size_t start, size_t stride) {
     ltl::FormulaFactory local_factory;
     for (size_t i = start; i < entries.size(); i += stride) {
-      auto spec = ltl::Parse(entries[i].ltl_text, &local_factory, vocab_);
-      if (!spec.ok()) {
-        built[i].status = spec.status();
-        continue;
-      }
-      auto ba = translate::LtlToBuchi(*spec, &local_factory,
-                                      options_.translate);
-      if (!ba.ok()) {
-        built[i].status = ba.status();
-        continue;
-      }
-      auto contract = std::make_unique<Contract>();
-      contract->name = entries[i].name;
-      contract->ltl_text = entries[i].ltl_text;
-      contract->events = events[i];
-      contract->seed_states = core::ComputeSeedStates(*ba);
-      contract->projections =
-          options_.build_projections
-              ? projection::ContractProjections::Precompute(
-                    std::move(*ba), options_.projections, precompute_pool)
-              : projection::ContractProjections::WrapOnly(std::move(*ba));
-      built[i].contract = std::move(contract);
+      built[i] = [&]() -> Result<std::unique_ptr<Contract>> {
+        CTDB_ASSIGN_OR_RETURN(
+            const ltl::Formula* spec,
+            ltl::Parse(entries[i].ltl_text, &local_factory, vocab_));
+        CTDB_ASSIGN_OR_RETURN(
+            automata::Buchi ba,
+            translate::LtlToBuchi(spec, &local_factory, options_.translate));
+        // Id and clock are assigned at commit (phase 3).
+        return BuildContract(0, entries[i].name, entries[i].ltl_text,
+                             std::move(ba), events[i], 0, precompute_pool,
+                             nullptr);
+      }();
     }
   };
 
@@ -455,8 +414,8 @@ Result<std::vector<uint32_t>> ContractDatabase::RegisterBatch(
           return Status::OK();
         }));
   }
-  for (const Built& b : built) {
-    CTDB_RETURN_NOT_OK(b.status);
+  for (const auto& b : built) {
+    CTDB_RETURN_NOT_OK(b.status());
   }
 
   // Phase 3 (serial): assign ids and clocks, fill the shared index, commit.
@@ -465,15 +424,15 @@ Result<std::vector<uint32_t>> ContractDatabase::RegisterBatch(
   std::vector<uint32_t> ids;
   ids.reserve(entries.size());
   for (size_t i = 0; i < built.size(); ++i) {
-    Built& b = built[i];
-    b.contract->id = static_cast<uint32_t>(contracts_.size());
-    b.contract->valid_from = clocks != nullptr ? (*clocks)[i] : clock_ + 1;
+    std::unique_ptr<Contract>& contract = *built[i];
+    contract->id = static_cast<uint32_t>(contracts_.size());
+    contract->valid_from = clocks != nullptr ? (*clocks)[i] : clock_ + 1;
     if (options_.build_prefilter) {
-      prefilter_.Insert(b.contract->id, b.contract->projections.original(),
-                        b.contract->events);
+      prefilter_.Insert(contract->id, contract->projections.original(),
+                        contract->events);
     }
-    ids.push_back(b.contract->id);
-    contracts_.push_back(std::move(b.contract));
+    ids.push_back(contract->id);
+    contracts_.push_back(std::move(contract));
     live_.Resize(contracts_.size());
     live_.Set(ids.back());
     ops_ += 1;

@@ -267,6 +267,14 @@ class ContractDatabase {
                                            RegistrationStats* stats,
                                            uint64_t clock);
 
+  /// The one place a contract version is built: validates `ba`, computes
+  /// seed states and projections (on `pool`) and fills `stats` when set.
+  /// Touches no master state, so batch workers may call it concurrently.
+  Result<std::unique_ptr<Contract>> BuildContract(
+      uint32_t id, std::string name, std::string ltl_text, automata::Buchi ba,
+      Bitset events, uint64_t valid_from, util::ThreadPool* pool,
+      RegistrationStats* stats) const;
+
   /// Resolves an optional caller clock (0 = self-assign the next tick);
   /// InvalidArgument when an explicit clock does not advance. The caller
   /// holds writer_mutex_.

@@ -117,43 +117,34 @@ Result<std::unique_ptr<ContractDatabase>> RecoverDatabase(
       }
       // Replay with the recorded system-period clock so valid periods (and
       // therefore as_of answers) reproduce exactly, sharded or not.
+      Status replayed;
       switch (record.type) {
         case wal::RecordType::kRegister: {
           auto id = db->Register(record.name, record.ltl_text, nullptr,
                                  record.clock);
-          if (!id.ok()) {
-            return Status::Corruption(
-                StringFormat("replay of record %" PRIu64, record.sequence) +
-                " failed: " + id.status().ToString());
-          }
-          if (*id != record.contract_id) {
+          replayed = id.status();
+          if (id.ok() && *id != record.contract_id) {
             return Status::Corruption(StringFormat(
                 "replayed record %" PRIu64 " got contract id %u, logged %u",
                 record.sequence, *id, record.contract_id));
           }
           break;
         }
-        case wal::RecordType::kUnregister: {
-          auto at = db->Unregister(record.contract_id, record.clock);
-          if (!at.ok()) {
-            return Status::Corruption(
-                StringFormat("replay of unregister %" PRIu64, record.sequence) +
-                " failed: " + at.status().ToString());
-          }
+        case wal::RecordType::kUnregister:
+          replayed = db->Unregister(record.contract_id, record.clock).status();
           break;
-        }
-        case wal::RecordType::kReplace: {
-          auto at = db->Replace(record.contract_id, record.ltl_text, nullptr,
-                                record.clock);
-          if (!at.ok()) {
-            return Status::Corruption(
-                StringFormat("replay of replace %" PRIu64, record.sequence) +
-                " failed: " + at.status().ToString());
-          }
+        case wal::RecordType::kReplace:
+          replayed = db->Replace(record.contract_id, record.ltl_text, nullptr,
+                                 record.clock)
+                         .status();
           break;
-        }
         case wal::RecordType::kCheckpoint:
           break;  // unreachable: skipped above
+      }
+      if (!replayed.ok()) {
+        return Status::Corruption(
+            StringFormat("replay of record %" PRIu64, record.sequence) +
+            " failed: " + replayed.ToString());
       }
       ++next_expected;
       ++stats.records_replayed;
@@ -204,94 +195,72 @@ Result<std::unique_ptr<DurableDatabase>> DurableDatabase::Open(
 
 DurableDatabase::~DurableDatabase() { Close(); }
 
-Result<uint32_t> DurableDatabase::Register(std::string name,
-                                           std::string_view ltl_text,
-                                           RegistrationStats* stats) {
-  return RegisterWithClock(std::move(name), ltl_text, stats, 0);
+Status DurableDatabase::Commit(
+    const std::function<Status(std::vector<wal::Record>*)>& apply) {
+  std::vector<std::future<Status>> durable;
+  {
+    std::lock_guard<std::mutex> lock(append_mutex_);
+    CTDB_RETURN_NOT_OK(CheckOpen());
+    std::vector<wal::Record> records;
+    CTDB_RETURN_NOT_OK(apply(&records));
+    for (wal::Record& record : records) {
+      record.sequence = ++sequence_;
+      durable.push_back(writer_->AppendAsync(record));
+    }
+  }
+  Status status;
+  for (std::future<Status>& f : durable) {
+    const Status s = f.get();
+    if (status.ok()) status = s;
+  }
+  CTDB_RETURN_NOT_OK(status);
+  MaybeScheduleCheckpoint();
+  return Status::OK();
 }
 
 Result<uint32_t> DurableDatabase::RegisterWithClock(std::string name,
                                                     std::string_view ltl_text,
                                                     RegistrationStats* stats,
                                                     uint64_t clock) {
-  std::future<Status> durable;
-  Result<uint32_t> id = [&]() -> Result<uint32_t> {
-    std::lock_guard<std::mutex> lock(append_mutex_);
-    if (closed_.load(std::memory_order_relaxed)) {
-      return Status::InvalidArgument("durable database is closed");
-    }
-    auto result = db_->Register(name, ltl_text, stats, clock);
-    if (!result.ok()) return result;
-    sequence_ += 1;
-    durable = writer_->AppendAsync(
-        wal::Record::Register(sequence_, db_->last_sequence(), *result,
-                              std::move(name), std::string(ltl_text)));
-    return result;
-  }();
-  if (!id.ok()) return id;
-  CTDB_RETURN_NOT_OK(durable.get());
-  MaybeScheduleCheckpoint();
+  uint32_t id = 0;
+  CTDB_RETURN_NOT_OK(Commit([&](std::vector<wal::Record>* log) -> Status {
+    CTDB_ASSIGN_OR_RETURN(id, db_->Register(name, ltl_text, stats, clock));
+    log->push_back(wal::Record::Register(0, db_->last_sequence(), id,
+                                         std::move(name),
+                                         std::string(ltl_text)));
+    return Status::OK();
+  }));
   return id;
-}
-
-Result<std::vector<uint32_t>> DurableDatabase::RegisterBatch(
-    const std::vector<ContractDatabase::BatchEntry>& entries) {
-  return RegisterBatchWithClocks(entries, nullptr);
 }
 
 Result<std::vector<uint32_t>> DurableDatabase::RegisterBatchWithClocks(
     const std::vector<ContractDatabase::BatchEntry>& entries,
     const std::vector<uint64_t>* clocks) {
-  std::vector<std::future<Status>> durable;
-  Result<std::vector<uint32_t>> ids = [&]() -> Result<std::vector<uint32_t>> {
-    std::lock_guard<std::mutex> lock(append_mutex_);
-    if (closed_.load(std::memory_order_relaxed)) {
-      return Status::InvalidArgument("durable database is closed");
-    }
-    auto result = db_->RegisterBatch(entries, 0, clocks);
-    if (!result.ok()) return result;
+  std::vector<uint32_t> ids;
+  CTDB_RETURN_NOT_OK(Commit([&](std::vector<wal::Record>* log) -> Status {
+    CTDB_ASSIGN_OR_RETURN(ids, db_->RegisterBatch(entries, 0, clocks));
     // Each record logs its contract's actual valid_from so replay with
     // explicit clocks reproduces the same periods.
     const std::shared_ptr<const DatabaseSnapshot> snapshot = db_->Snapshot();
-    durable.reserve(entries.size());
     for (size_t i = 0; i < entries.size(); ++i) {
-      sequence_ += 1;
-      durable.push_back(writer_->AppendAsync(wal::Record::Register(
-          sequence_, snapshot->contract((*result)[i]).valid_from, (*result)[i],
-          entries[i].name, entries[i].ltl_text)));
+      log->push_back(wal::Record::Register(
+          0, snapshot->contract(ids[i]).valid_from, ids[i], entries[i].name,
+          entries[i].ltl_text));
     }
-    return result;
-  }();
-  if (!ids.ok()) return ids;
-  Status status;
-  for (std::future<Status>& f : durable) {
-    const Status s = f.get();
-    if (status.ok() && !s.ok()) status = s;
-  }
-  CTDB_RETURN_NOT_OK(status);
-  MaybeScheduleCheckpoint();
+    return Status::OK();
+  }));
   return ids;
 }
 
 Result<uint64_t> DurableDatabase::UnregisterWithClock(uint32_t id,
                                                       uint64_t clock) {
-  std::future<Status> durable;
-  Result<uint64_t> at = [&]() -> Result<uint64_t> {
-    std::lock_guard<std::mutex> lock(append_mutex_);
-    if (closed_.load(std::memory_order_relaxed)) {
-      return Status::InvalidArgument("durable database is closed");
-    }
-    auto result = db_->Unregister(id, clock);
-    if (!result.ok()) return result;
+  uint64_t at = 0;
+  CTDB_RETURN_NOT_OK(Commit([&](std::vector<wal::Record>* log) -> Status {
+    CTDB_ASSIGN_OR_RETURN(at, db_->Unregister(id, clock));
     util::CrashPoint("durable.unregister.after_apply");
-    sequence_ += 1;
-    durable =
-        writer_->AppendAsync(wal::Record::Unregister(sequence_, *result, id));
-    return result;
-  }();
-  if (!at.ok()) return at;
-  CTDB_RETURN_NOT_OK(durable.get());
-  MaybeScheduleCheckpoint();
+    log->push_back(wal::Record::Unregister(0, at, id));
+    return Status::OK();
+  }));
   return at;
 }
 
@@ -299,39 +268,25 @@ Result<uint64_t> DurableDatabase::ReplaceWithClock(uint32_t id,
                                                    std::string_view ltl_text,
                                                    RegistrationStats* stats,
                                                    uint64_t clock) {
-  std::future<Status> durable;
-  Result<uint64_t> at = [&]() -> Result<uint64_t> {
-    std::lock_guard<std::mutex> lock(append_mutex_);
-    if (closed_.load(std::memory_order_relaxed)) {
-      return Status::InvalidArgument("durable database is closed");
-    }
-    auto result = db_->Replace(id, ltl_text, stats, clock);
-    if (!result.ok()) return result;
+  uint64_t at = 0;
+  CTDB_RETURN_NOT_OK(Commit([&](std::vector<wal::Record>* log) -> Status {
+    CTDB_ASSIGN_OR_RETURN(at, db_->Replace(id, ltl_text, stats, clock));
     util::CrashPoint("durable.replace.after_apply");
-    sequence_ += 1;
-    durable = writer_->AppendAsync(wal::Record::Replace(
-        sequence_, *result, id, std::string(ltl_text)));
-    return result;
-  }();
-  if (!at.ok()) return at;
-  CTDB_RETURN_NOT_OK(durable.get());
-  MaybeScheduleCheckpoint();
+    log->push_back(wal::Record::Replace(0, at, id, std::string(ltl_text)));
+    return Status::OK();
+  }));
   return at;
 }
 
 Result<monitor::StreamOpenInfo> DurableDatabase::StreamOpen(
     std::string name, const monitor::StreamOptions& options) {
-  if (closed_.load(std::memory_order_relaxed)) {
-    return Status::Unavailable("durable database is closed");
-  }
+  CTDB_RETURN_NOT_OK(CheckOpen());
   return monitor_.Open(std::move(name), db_->Snapshot(), options);
 }
 
 Result<monitor::StreamAppendResult> DurableDatabase::StreamAppend(
     std::string_view name, const monitor::EventBatch& events) {
-  if (closed_.load(std::memory_order_relaxed)) {
-    return Status::Unavailable("durable database is closed");
-  }
+  CTDB_RETURN_NOT_OK(CheckOpen());
   return monitor_.Append(name, events);
 }
 
@@ -344,6 +299,7 @@ Result<monitor::StreamCloseInfo> DurableDatabase::StreamClose(
 
 Status DurableDatabase::Checkpoint() {
   std::lock_guard<std::mutex> lock(checkpoint_mutex_);
+  CTDB_RETURN_NOT_OK(CheckOpen());
   Timer timer;
   // Retention first: checkpoints are the GC boundary, so history older than
   // the configured window is dropped before the image pins it (ISSUE 9 —

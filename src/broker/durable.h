@@ -27,6 +27,7 @@
 #pragma once
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -84,7 +85,9 @@ Result<std::unique_ptr<ContractDatabase>> RecoverDatabase(
 /// Thread safety matches ContractDatabase: queries are safe concurrently
 /// with each other and with registrations; Register calls from multiple
 /// threads are safe and share group commits. Checkpoint may run
-/// concurrently with everything (it pins a snapshot).
+/// concurrently with everything (it pins a snapshot). After Close,
+/// mutations, StreamOpen, StreamAppend and Checkpoint return
+/// Status::Unavailable; queries and StreamClose stay legal.
 class DurableDatabase : public Broker {
  public:
   /// Opens (creating the directory if needed) or recovers a durable
@@ -102,12 +105,16 @@ class DurableDatabase : public Broker {
   /// the configured fsync policy. Queries may observe the registration
   /// slightly before it is durable (never after a failure).
   Result<uint32_t> Register(std::string name, std::string_view ltl_text,
-                            RegistrationStats* stats = nullptr) override;
+                            RegistrationStats* stats = nullptr) override {
+    return RegisterWithClock(std::move(name), ltl_text, stats, 0);
+  }
 
   /// Registers a batch atomically (all-or-nothing in memory, one WAL group
   /// on disk). Returns once every record of the batch is durable.
   Result<std::vector<uint32_t>> RegisterBatch(
-      const std::vector<ContractDatabase::BatchEntry>& entries) override;
+      const std::vector<ContractDatabase::BatchEntry>& entries) override {
+    return RegisterBatchWithClocks(entries, nullptr);
+  }
 
   /// Unregisters the live contract `id`; Ok only once the kUnregister
   /// record is durable. Returns the system-period clock of the removal.
@@ -194,8 +201,8 @@ class DurableDatabase : public Broker {
   /// against the automatic background checkpoint.
   Status Checkpoint() override;
 
-  /// Flushes and stops the log writer; further registrations fail. Run by
-  /// the destructor; idempotent.
+  /// Flushes and stops the log writer; further mutations are Unavailable.
+  /// Run by the destructor; idempotent.
   Status Close() override;
 
   /// System-period clock of the latest applied mutation (the `as_of`
@@ -218,6 +225,18 @@ class DurableDatabase : public Broker {
                   std::unique_ptr<ContractDatabase> db,
                   std::unique_ptr<wal::LogWriter> writer,
                   RecoveryStats recovery_stats);
+
+  /// Every mutation's one durable path: under append_mutex_, `apply` mutates
+  /// db_ and lists its WAL records (sequence 0); Commit numbers and enqueues
+  /// them, and returns once all are durable. Unavailable after Close.
+  Status Commit(const std::function<Status(std::vector<wal::Record>*)>& apply);
+
+  Status CheckOpen() const {
+    if (closed_.load(std::memory_order_relaxed)) {
+      return Status::Unavailable("durable database is closed");
+    }
+    return Status::OK();
+  }
 
   /// Launches a background checkpoint when checkpoint_log_bytes is
   /// configured and exceeded.

@@ -15,7 +15,6 @@ namespace ctdb::broker {
 
 namespace {
 
-constexpr const char* kHeaderV1 = "ctdb-database-v1";
 constexpr const char* kHeaderV2 = "ctdb-database-v2";
 
 std::string OneLine(std::string s) {
@@ -100,8 +99,8 @@ Result<std::unique_ptr<ContractDatabase>> LoadDatabase(
                                    "expected " + what);
   };
 
-  /// One contract body: name, ltl, events, serialized BA — shared by the v1
-  /// contract list, the v2 live list and the v2 history list.
+  /// One contract body: name, ltl, events, serialized BA — shared by the
+  /// live list and the history list.
   struct Body {
     std::string name;
     std::string ltl;
@@ -149,18 +148,15 @@ Result<std::unique_ptr<ContractDatabase>> LoadDatabase(
   };
 
   CTDB_ASSIGN_OR_RETURN(std::string header, next_line("header"));
-  const bool v2 = header == kHeaderV2;
-  if (!v2 && header != kHeaderV1) {
+  if (header != kHeaderV2) {
     return Status::InvalidArgument("not a ctdb database: bad header");
   }
 
   uint64_t ops = 0, clock = 0;
-  if (v2) {
-    CTDB_ASSIGN_OR_RETURN(std::string seq_line, next_line("sequence"));
-    if (std::sscanf(seq_line.c_str(), "sequence %" SCNu64 " %" SCNu64, &ops,
-                    &clock) != 2) {
-      return Status::InvalidArgument("malformed sequence line");
-    }
+  CTDB_ASSIGN_OR_RETURN(std::string seq_line, next_line("sequence"));
+  if (std::sscanf(seq_line.c_str(), "sequence %" SCNu64 " %" SCNu64, &ops,
+                  &clock) != 2) {
+    return Status::InvalidArgument("malformed sequence line");
   }
 
   CTDB_ASSIGN_OR_RETURN(std::string vocab_line, next_line("vocabulary"));
@@ -182,17 +178,9 @@ Result<std::unique_ptr<ContractDatabase>> LoadDatabase(
   CTDB_ASSIGN_OR_RETURN(std::string contracts_line, next_line("contracts"));
   size_t contract_count = 0;
   size_t slot_count = 0;
-  if (v2) {
-    if (std::sscanf(contracts_line.c_str(), "contracts %zu slots %zu",
-                    &contract_count, &slot_count) != 2) {
-      return Status::InvalidArgument("malformed contracts line");
-    }
-  } else {
-    if (std::sscanf(contracts_line.c_str(), "contracts %zu",
-                    &contract_count) != 1) {
-      return Status::InvalidArgument("malformed contracts line");
-    }
-    slot_count = contract_count;
+  if (std::sscanf(contracts_line.c_str(), "contracts %zu slots %zu",
+                  &contract_count, &slot_count) != 2) {
+    return Status::InvalidArgument("malformed contracts line");
   }
 
   size_t min_next_id = 0;
@@ -200,81 +188,53 @@ Result<std::unique_ptr<ContractDatabase>> LoadDatabase(
     CTDB_ASSIGN_OR_RETURN(std::string contract_line, next_line("contract"));
     size_t declared_id = 0;
     uint64_t valid_from = 0;
-    if (v2) {
-      if (std::sscanf(contract_line.c_str(),
-                      "contract %zu valid-from %" SCNu64, &declared_id,
-                      &valid_from) != 2) {
-        return Status::InvalidArgument("malformed contract line: " +
-                                       contract_line);
-      }
-      if (declared_id < min_next_id || declared_id >= slot_count) {
-        return Status::InvalidArgument(
-            "contract ids must ascend within the slot range");
-      }
-      min_next_id = declared_id + 1;
-    } else {
-      if (std::sscanf(contract_line.c_str(), "contract %zu", &declared_id) !=
-          1) {
-        return Status::InvalidArgument("malformed contract line: " +
-                                       contract_line);
-      }
-      if (declared_id != c) {
-        return Status::InvalidArgument("contract ids must be dense and "
-                                       "in-order");
-      }
+    if (std::sscanf(contract_line.c_str(), "contract %zu valid-from %" SCNu64,
+                    &declared_id, &valid_from) != 2) {
+      return Status::InvalidArgument("malformed contract line: " +
+                                     contract_line);
     }
+    if (declared_id < min_next_id || declared_id >= slot_count) {
+      return Status::InvalidArgument(
+          "contract ids must ascend within the slot range");
+    }
+    min_next_id = declared_id + 1;
     CTDB_ASSIGN_OR_RETURN(Body body, read_body());
-    if (v2) {
-      CTDB_RETURN_NOT_OK(
-          db->RestoreContract(static_cast<uint32_t>(declared_id),
-                              std::move(body.name), std::move(body.ltl),
-                              std::move(body.ba), std::move(body.events),
-                              valid_from)
-              .status());
-    } else {
-      // The v1 image is append-only: RegisterAutomaton self-assigns dense
-      // ids and consecutive clocks, reproducing ops == clock == count.
-      CTDB_RETURN_NOT_OK(
-          db->RegisterAutomaton(std::move(body.name), std::move(body.ltl),
-                                std::move(body.ba), std::move(body.events))
-              .status());
-    }
+    CTDB_RETURN_NOT_OK(
+        db->RestoreContract(static_cast<uint32_t>(declared_id),
+                            std::move(body.name), std::move(body.ltl),
+                            std::move(body.ba), std::move(body.events),
+                            valid_from)
+            .status());
   }
 
+  CTDB_ASSIGN_OR_RETURN(std::string history_line, next_line("history"));
+  size_t history_count = 0;
   uint64_t history_floor = 0;
-  if (v2) {
-    CTDB_ASSIGN_OR_RETURN(std::string history_line, next_line("history"));
-    size_t history_count = 0;
-    if (std::sscanf(history_line.c_str(), "history %zu floor %" SCNu64,
-                    &history_count, &history_floor) != 2) {
-      return Status::InvalidArgument("malformed history line");
+  if (std::sscanf(history_line.c_str(), "history %zu floor %" SCNu64,
+                  &history_count, &history_floor) != 2) {
+    return Status::InvalidArgument("malformed history line");
+  }
+  for (size_t i = 0; i < history_count; ++i) {
+    CTDB_ASSIGN_OR_RETURN(std::string version_line, next_line("version"));
+    size_t id = 0;
+    uint64_t from = 0, to = 0;
+    if (std::sscanf(version_line.c_str(), "version %zu %" SCNu64 " %" SCNu64,
+                    &id, &from, &to) != 3) {
+      return Status::InvalidArgument("malformed version line: " +
+                                     version_line);
     }
-    for (size_t i = 0; i < history_count; ++i) {
-      CTDB_ASSIGN_OR_RETURN(std::string version_line, next_line("version"));
-      size_t id = 0;
-      uint64_t from = 0, to = 0;
-      if (std::sscanf(version_line.c_str(),
-                      "version %zu %" SCNu64 " %" SCNu64, &id, &from,
-                      &to) != 3) {
-        return Status::InvalidArgument("malformed version line: " +
-                                       version_line);
-      }
-      CTDB_ASSIGN_OR_RETURN(Body body, read_body());
-      CTDB_RETURN_NOT_OK(db->RestoreHistoryVersion(
-          static_cast<uint32_t>(id), std::move(body.name),
-          std::move(body.ltl), std::move(body.ba), std::move(body.events),
-          from, to));
-    }
+    CTDB_ASSIGN_OR_RETURN(Body body, read_body());
+    CTDB_RETURN_NOT_OK(db->RestoreHistoryVersion(
+        static_cast<uint32_t>(id), std::move(body.name), std::move(body.ltl),
+        std::move(body.ba), std::move(body.events), from, to));
   }
 
   CTDB_ASSIGN_OR_RETURN(std::string footer, next_line("end-database"));
   if (footer != "end-database") {
     return Status::InvalidArgument("missing end-database footer");
   }
-  if (v2) {
-    CTDB_RETURN_NOT_OK(
-        db->RestoreLifecycle(ops, clock, history_floor, slot_count));
-  }
+  CTDB_RETURN_NOT_OK(
+      db->RestoreLifecycle(ops, clock, history_floor, slot_count));
   return db;
 }
 

@@ -9,8 +9,9 @@
 // contracts with explicit (possibly sparse) ids and their `valid-from`
 // clocks, then the history store — superseded versions with their
 // [valid_from, valid_to) periods and the retention floor (DESIGN.md §14).
-// Legacy `ctdb-database-v1` images (append-only: dense ids, no lifecycle
-// state) still load; their counters reconstruct as ops == clock == count.
+// Only v2 images are read; any other header, v1 included, is rejected. The
+// WAL likewise reads only its v2 payload layout (wal/record.h). No v1 data
+// was ever deployed.
 // Prefilter index, seed sets and projection partitions are recomputed at
 // load time from the stored automata (they are deterministic functions of
 // them and of the load-time DatabaseOptions).

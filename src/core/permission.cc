@@ -128,110 +128,12 @@ bool PermitsNestedDfs(const Buchi& contract, const Bitset& contract_events,
   return false;
 }
 
-/// SCC-based variant: explore the reachable product, then decide via Tarjan
-/// whether some cyclic SCC contains both a contract-final and a query-final
-/// pair.
-bool PermitsScc(const Buchi& contract, const Bitset& contract_events,
-                const Buchi& query, PermissionStats* stats) {
-  // Materialize the reachable product as a small graph.
-  std::unordered_map<uint64_t, uint32_t> id_of;
-  std::vector<std::pair<StateId, StateId>> nodes;
-  std::vector<std::vector<uint32_t>> adj;
-
-  const uint64_t root = PairKey(contract.initial(), query.initial());
-  id_of.emplace(root, 0);
-  nodes.emplace_back(contract.initial(), query.initial());
-  adj.emplace_back();
-  for (uint32_t i = 0; i < nodes.size(); ++i) {
-    const auto [s, q] = nodes[i];
-    if (stats != nullptr) ++stats->pairs_visited;
-    ForEachSuccessor(contract, contract_events, query, s, q,
-                     [&](StateId s2, StateId q2) {
-                       const uint64_t key = PairKey(s2, q2);
-                       auto [it, inserted] =
-                           id_of.emplace(key, static_cast<uint32_t>(nodes.size()));
-                       if (inserted) {
-                         nodes.emplace_back(s2, q2);
-                         adj.emplace_back();
-                       }
-                       adj[i].push_back(it->second);
-                     });
-  }
-
-  // Iterative Tarjan on the materialized product.
-  const size_t n = nodes.size();
-  constexpr uint32_t kUnvisited = UINT32_MAX;
-  std::vector<uint32_t> index(n, kUnvisited);
-  std::vector<uint32_t> lowlink(n, 0);
-  std::vector<bool> on_stack(n, false);
-  std::vector<uint32_t> scc_stack;
-  uint32_t next_index = 0;
-
-  struct Frame {
-    uint32_t node;
-    uint32_t edge;
-  };
-  std::vector<Frame> frames;
-  frames.push_back({0, 0});
-  index[0] = lowlink[0] = next_index++;
-  scc_stack.push_back(0);
-  on_stack[0] = true;
-
-  while (!frames.empty()) {
-    Frame& f = frames.back();
-    if (f.edge < adj[f.node].size()) {
-      const uint32_t w = adj[f.node][f.edge];
-      ++f.edge;
-      if (index[w] == kUnvisited) {
-        index[w] = lowlink[w] = next_index++;
-        scc_stack.push_back(w);
-        on_stack[w] = true;
-        frames.push_back({w, 0});
-      } else if (on_stack[w]) {
-        lowlink[f.node] = std::min(lowlink[f.node], index[w]);
-      }
-      continue;
-    }
-    const uint32_t v = f.node;
-    frames.pop_back();
-    if (!frames.empty()) {
-      lowlink[frames.back().node] =
-          std::min(lowlink[frames.back().node], lowlink[v]);
-    }
-    if (lowlink[v] == index[v]) {
-      std::vector<uint32_t> comp;
-      while (true) {
-        const uint32_t w = scc_stack.back();
-        scc_stack.pop_back();
-        on_stack[w] = false;
-        comp.push_back(w);
-        if (w == v) break;
-      }
-      bool contract_final = false;
-      bool query_final = false;
-      for (uint32_t w : comp) {
-        if (contract.IsFinal(nodes[w].first)) contract_final = true;
-        if (query.IsFinal(nodes[w].second)) query_final = true;
-      }
-      if (!contract_final || !query_final) continue;
-      // Cyclic: an edge between two members (self-loops included).
-      std::unordered_set<uint32_t> members(comp.begin(), comp.end());
-      for (uint32_t w : comp) {
-        for (uint32_t succ : adj[w]) {
-          if (members.count(succ) > 0) return true;
-        }
-      }
-    }
-  }
-  return false;
-}
-
-/// Early-exit variant of PermitsScc: the product is discovered lazily during
-/// an iterative Tarjan DFS, and the check returns the instant an accepting
-/// cyclic SCC (contract-final + query-final member, cycle present) is popped.
-/// A permitted contract therefore pays only for the pairs on the DFS path to
+/// SCC-based variant: the product is discovered lazily during an iterative
+/// Tarjan DFS, and the check returns the instant an accepting cyclic SCC
+/// (contract-final + query-final member, cycle present) is popped. A
+/// permitted contract therefore pays only for the pairs on the DFS path to
 /// its first witness lasso; only rejections explore the whole product.
-bool PermitsSccEarlyExit(const Buchi& contract, const Bitset& contract_events,
+bool PermitsScc(const Buchi& contract, const Bitset& contract_events,
                          const Buchi& query, PermissionStats* stats) {
   constexpr uint32_t kUnvisited = UINT32_MAX;
   std::unordered_map<uint64_t, uint32_t> id_of;
@@ -357,10 +259,7 @@ bool Permits(const Buchi& contract, const Bitset& contract_events,
                                    seed_states, options.use_seeds, target);
       break;
     case PermissionAlgorithm::kScc:
-      permitted =
-          options.early_exit
-              ? PermitsSccEarlyExit(contract, contract_events, query, target)
-              : PermitsScc(contract, contract_events, query, target);
+      permitted = PermitsScc(contract, contract_events, query, target);
       break;
   }
 #if CTDB_OBS

@@ -15,11 +15,10 @@
 //  * kScc — product-graph SCC analysis: permission holds iff some reachable
 //    cyclic SCC of the product contains both a contract-final and a
 //    query-final pair. Linear in the product; used for cross-validation and
-//    as an ablation. By default the product is constructed *on the fly*
-//    during the Tarjan DFS and the check returns the moment an accepting
-//    cyclic SCC closes — permitted contracts never pay for the unexplored
-//    remainder of the product. PermissionOptions::early_exit = false falls
-//    back to materializing and classifying the full product.
+//    as an ablation. The product is constructed *on the fly* during the
+//    Tarjan DFS and the check returns the moment an accepting cyclic SCC
+//    closes — permitted contracts never pay for the unexplored remainder of
+//    the product.
 //
 // The seeds optimization (§6.2.4) restricts inner searches to pairs whose
 // contract state lies on a contract cycle through a contract-final state.
@@ -44,11 +43,6 @@ struct PermissionOptions {
   PermissionAlgorithm algorithm = PermissionAlgorithm::kNestedDfs;
   /// Apply the §6.2.4 seeds restriction (kNestedDfs only).
   bool use_seeds = true;
-  /// kScc only: build the product lazily during the Tarjan DFS and stop on
-  /// the first accepting lasso witness (default). When false the full
-  /// reachable product is materialized first — the eager ablation baseline.
-  /// kNestedDfs always early-exits by construction.
-  bool early_exit = true;
 };
 
 /// Counters reported by a permission check.

@@ -1,6 +1,7 @@
 #include "shard/sharded.h"
 
 #include <algorithm>
+#include <functional>
 #include <thread>
 #include <utility>
 
@@ -19,11 +20,121 @@ namespace ctdb::shard {
 
 namespace {
 
-/// Prefixes a shard-local error with the shard directory, so "checksum
-/// mismatch" becomes "shard-002: checksum mismatch".
-Status AnnotateShard(size_t shard, const Status& status) {
-  if (status.ok()) return status;
-  return Status(status.code(), ShardDirName(shard) + ": " + status.message());
+/// The router's one error rule. Internal, Corruption and Unavailable report
+/// shard k's own state or service, so they name the shard ("shard-002:
+/// checksum mismatch"); every other code is about the request and keeps the
+/// wording an unsharded database gives.
+Status ShardError(size_t k, const Status& status) {
+  switch (status.code()) {
+    case StatusCode::kInternal:
+    case StatusCode::kCorruption:
+    case StatusCode::kUnavailable:
+      return Status(status.code(), ShardDirName(k) + ": " + status.message());
+    default:
+      return status;
+  }
+}
+
+/// Runs `op(k)` for every shard k — on `pool` when there is one — and
+/// returns the results in shard order. Every shard runs whatever the others
+/// return: the body handed to ParallelFor never fails, so it skips nothing.
+template <typename Op>
+auto Scatter(util::ThreadPool* pool, size_t n, const Op& op) {
+  std::vector<decltype(op(size_t{0}))> out;
+  out.reserve(n);
+  for (size_t k = 0; k < n; ++k) {
+    out.emplace_back(Status::Internal("shard not reached"));
+  }
+  auto one = [&](size_t k) {
+    out[k] = op(k);
+    return Status::OK();
+  };
+  if (pool != nullptr) {
+    (void)pool->ParallelFor(0, n, one);
+  } else {
+    for (size_t k = 0; k < n; ++k) (void)one(k);
+  }
+  return out;
+}
+
+Status StatusOf(const Status& status) { return status; }
+template <typename T>
+Status StatusOf(const Result<T>& result) {
+  return result.status();
+}
+
+/// The lowest-numbered shard's error, under ShardError's rule; OK when
+/// every shard succeeded. Deterministic whatever the interleaving.
+template <typename R>
+Status FirstError(const std::vector<R>& per_shard) {
+  for (size_t k = 0; k < per_shard.size(); ++k) {
+    const Status status = StatusOf(per_shard[k]);
+    if (!status.ok()) return ShardError(k, status);
+  }
+  return Status::OK();
+}
+
+uint32_t LocalIdOf(uint32_t match) { return match; }
+uint32_t LocalIdOf(const monitor::VerdictDelta& d) { return d.contract_id; }
+
+/// The one gather step: a k-way merge of per-shard runs into ascending
+/// global-id order. `run(k)` is shard k's run, ascending by local id;
+/// global = local * n + k keeps that order within a shard. Calls
+/// `take(k, i, global_id)` for every item, in merged order.
+template <typename Run, typename Take>
+void MergeByGlobalId(size_t n, const Run& run, const Take& take) {
+  std::vector<size_t> cursor(n, 0);
+  while (true) {
+    size_t best = n;
+    uint32_t best_id = 0;
+    for (size_t k = 0; k < n; ++k) {
+      if (cursor[k] == run(k).size()) continue;
+      const uint32_t id =
+          ShardedDatabase::GlobalId(k, LocalIdOf(run(k)[cursor[k]]), n);
+      if (best == n || id < best_id) {
+        best = k;
+        best_id = id;
+      }
+    }
+    if (best == n) return;
+    take(best, cursor[best]++, best_id);
+  }
+}
+
+/// One query's per-shard results gathered: matches (and their witnesses)
+/// merged by global id; sizes and counts summed; translate and prefilter the
+/// slowest shard's (they run in parallel); permission the summed CPU time.
+template <typename At>
+broker::QueryResult MergeQuery(size_t n, const At& at, bool witnesses) {
+  broker::QueryResult out;
+  MergeByGlobalId(
+      n, [&](size_t k) -> const auto& { return at(k).matches; },
+      [&](size_t k, size_t i, uint32_t id) {
+        out.matches.push_back(id);
+        if (witnesses) out.witnesses.push_back(std::move(at(k).witnesses[i]));
+      });
+  broker::QueryStats& m = out.stats;
+  for (size_t k = 0; k < n; ++k) {
+    const broker::QueryStats& s = at(k).stats;
+    m.database_size += s.database_size;
+    m.candidates += s.candidates;
+    m.matches += s.matches;
+    m.translate_ms = std::max(m.translate_ms, s.translate_ms);
+    m.prefilter_ms = std::max(m.prefilter_ms, s.prefilter_ms);
+    m.permission_ms += s.permission_ms;
+    m.translate_cache_hit = m.translate_cache_hit || s.translate_cache_hit;
+  }
+  return out;
+}
+
+/// Per-shard verdict lists merged into one, re-mapped to global ids.
+template <typename Run>
+std::vector<monitor::VerdictDelta> MergeVerdicts(size_t n, const Run& run) {
+  std::vector<monitor::VerdictDelta> merged;
+  MergeByGlobalId(n, run, [&](size_t k, size_t i, uint32_t id) {
+    merged.push_back({id, run(k)[i].verdict});
+  });
+  return merged;
 }
 
 /// True when `dir` looks like an unsharded DurableDatabase directory —
@@ -90,31 +201,13 @@ Result<std::unique_ptr<ShardedDatabase>> ShardedDatabase::Open(
   auto pool = n > 1 ? std::make_unique<util::ThreadPool>(workers) : nullptr;
 
   // Recover every shard in parallel; wall time is the slowest shard.
-  std::vector<std::unique_ptr<broker::DurableDatabase>> shards(n);
-  std::vector<Status> open_status(n, Status::OK());
-  auto open_one = [&](size_t k) {
-    auto opened = broker::DurableDatabase::Open(
-        dir + "/" + manifest.dirs[k], durability, shard_options);
-    if (!opened.ok()) {
-      open_status[k] = AnnotateShard(k, opened.status());
-      return open_status[k];
-    }
-    shards[k] = std::move(*opened);
-    return Status::OK();
-  };
-  if (pool) {
-    // Ignore ParallelFor's first-error shortcut: report the lowest shard's
-    // error deterministically, whatever the interleaving.
-    (void)pool->ParallelFor(0, n, open_one);
-  } else {
-    for (size_t k = 0; k < n; ++k) {
-      if (!shards[k]) (void)open_one(k);
-    }
-  }
-  for (size_t k = 0; k < n; ++k) {
-    if (!shards[k] && open_status[k].ok()) (void)open_one(k);
-    CTDB_RETURN_NOT_OK(open_status[k]);
-  }
+  auto opened = Scatter(pool.get(), n, [&](size_t k) {
+    return broker::DurableDatabase::Open(dir + "/" + manifest.dirs[k],
+                                         durability, shard_options);
+  });
+  CTDB_RETURN_NOT_OK(FirstError(opened));
+  std::vector<std::unique_ptr<broker::DurableDatabase>> shards;
+  for (auto& shard : opened) shards.push_back(std::move(*shard));
 
   ShardedRecoveryStats stats;
   stats.shards = n;
@@ -128,22 +221,20 @@ Result<std::unique_ptr<ShardedDatabase>> ShardedDatabase::Open(
   }
 
   // Re-broadcast the union vocabulary: InternEvent is not WAL-logged, so a
-  // recovered shard only knows the events its own contracts cite.
-  if (n > 1) {
-    std::vector<std::string> union_names;
-    for (size_t k = 0; k < n; ++k) {
-      const auto snapshot = shards[k]->Snapshot();
-      for (const std::string& name : snapshot->vocabulary().names()) {
-        union_names.push_back(name);
-      }
-    }
-    for (size_t k = 0; k < n; ++k) {
-      for (const std::string& name : union_names) {
-        CTDB_RETURN_NOT_OK(
-            AnnotateShard(k, shards[k]->InternEvent(name).status()));
-      }
-    }
+  // recovered shard only knows the events its own contracts cite (a lone
+  // shard has nothing to learn).
+  std::vector<std::string> union_names;
+  for (size_t k = 0; n > 1 && k < n; ++k) {
+    const auto snapshot = shards[k]->Snapshot();
+    const std::vector<std::string>& names = snapshot->vocabulary().names();
+    union_names.insert(union_names.end(), names.begin(), names.end());
   }
+  CTDB_RETURN_NOT_OK(FirstError(Scatter(pool.get(), n, [&](size_t k) {
+    for (const std::string& name : union_names) {
+      CTDB_RETURN_NOT_OK(shards[k]->InternEvent(name).status());
+    }
+    return Status::OK();
+  })));
   stats.wall_ms = open_timer.ElapsedMillis();
 
   return std::unique_ptr<ShardedDatabase>(new ShardedDatabase(
@@ -159,12 +250,9 @@ ShardedDatabase::ShardedDatabase(
       pool_(std::move(pool)),
       recovery_stats_(std::move(recovery_stats)) {
   slots_.resize(shards_.size());
-  for (size_t k = 0; k < shards_.size(); ++k) {
-    slots_[k] = shards_[k]->slot_count();
-    // Shard clocks are sparse samples of one global clock; the max is the
-    // latest tick any shard acknowledged.
-    clock_ = std::max(clock_, shards_[k]->last_sequence());
-  }
+  // Shard clocks are sparse samples of one global clock; the max is the
+  // latest tick any shard acknowledged.
+  for (size_t k = 0; k < shards_.size(); ++k) ResyncLocked(k);
 #if CTDB_OBS
   // Counters are cached at construction, so a runtime-disabled registry
   // stays empty (the documented CTDB_OBS=0 contract); enabling obs after
@@ -193,12 +281,16 @@ ShardedDatabase::~ShardedDatabase() {
 #endif
 }
 
-size_t ShardedDatabase::RouteShardLocked() const {
-  size_t best = 0;
-  for (size_t k = 1; k < shards_.size(); ++k) {
-    if (NextGlobalIdOf(k) < NextGlobalIdOf(best)) best = k;
-  }
-  return best;
+size_t ShardedDatabase::RouteShard(const std::vector<uint64_t>& slots) {
+  // Shard k's next global id is slots[k] * N + k, so the lowest one belongs
+  // to the first shard with the fewest slots.
+  return static_cast<size_t>(std::min_element(slots.begin(), slots.end()) -
+                             slots.begin());
+}
+
+void ShardedDatabase::ResyncLocked(size_t k) {
+  slots_[k] = shards_[k]->slot_count();
+  clock_ = std::max(clock_, shards_[k]->last_sequence());
 }
 
 Status ShardedDatabase::BroadcastEventsLocked(size_t from, uint32_t local_id) {
@@ -210,8 +302,7 @@ Status ShardedDatabase::BroadcastEventsLocked(size_t from, uint32_t local_id) {
     const std::string& name = vocab.Name(static_cast<EventId>(event));
     for (size_t k = 0; k < shards_.size(); ++k) {
       if (k == from) continue;
-      CTDB_RETURN_NOT_OK(
-          AnnotateShard(k, shards_[k]->InternEvent(name).status()));
+      CTDB_RETURN_NOT_OK(ShardError(k, shards_[k]->InternEvent(name).status()));
     }
   }
   return Status::OK();
@@ -222,32 +313,27 @@ Result<uint32_t> ShardedDatabase::Register(std::string name,
                                            broker::RegistrationStats* stats) {
   CTDB_RETURN_NOT_OK(CheckOpen());
   std::lock_guard<std::mutex> lock(route_mutex_);
-  const size_t k = RouteShardLocked();
-  const uint64_t at = clock_ + 1;
+  const size_t k = RouteShard(slots_);
+  const uint64_t expected = slots_[k];
   auto local = shards_[k]->RegisterWithClock(std::move(name), ltl_text, stats,
-                                             at);
+                                             clock_ + 1);
   // Resync even on failure: a WAL-append error still applied the mutation
   // (and its clock) in the shard's memory, and the router must not hand the
-  // same tick out twice.
-  clock_ = std::max(clock_, shards_[k]->last_sequence());
-  CTDB_RETURN_NOT_OK(local.status());
-  const uint32_t local_id = *local;
-  // The shard assigns local ids densely from its own slot count; the route
-  // table tracked that count, so the striped global id is exactly the next
-  // one.
-  if (local_id != slots_[k]) {
-    return Status::Internal(StringFormat(
-        "shard %zu assigned local id %u, router expected %llu", k, local_id,
-        static_cast<unsigned long long>(slots_[k])));
+  // same id or tick out twice.
+  ResyncLocked(k);
+  if (!local.ok()) return ShardError(k, local.status());
+  // The shard assigns local ids densely from its own slot count, which the
+  // route table tracked, so the striped global id is exactly the next one.
+  if (*local != expected) {
+    return ShardError(k, Status::Internal("local id out of step"));
   }
-  slots_[k] += 1;
 #if CTDB_OBS
   if (obs::Enabled() && !register_counters_.empty()) {
     register_counters_[k]->Add();
   }
 #endif
-  CTDB_RETURN_NOT_OK(BroadcastEventsLocked(k, local_id));
-  return GlobalId(k, local_id, shards_.size());
+  CTDB_RETURN_NOT_OK(BroadcastEventsLocked(k, *local));
+  return GlobalId(k, *local, shards_.size());
 }
 
 Result<std::vector<uint32_t>> ShardedDatabase::RegisterBatch(
@@ -271,72 +357,39 @@ Result<std::vector<uint32_t>> ShardedDatabase::RegisterBatch(
   std::lock_guard<std::mutex> lock(route_mutex_);
   const size_t n = shards_.size();
 
-  // Assign global ids and clocks up front (round-robin over the
-  // lowest-next-id shards), grouping entries into per-shard sub-batches.
-  // Entry i gets global clock clock_ + 1 + i, so the batch occupies the
-  // same clock range as the equivalent sequence of single registrations.
+  // Assign global ids and clocks up front, routing each entry as Register
+  // would, and group the entries into per-shard sub-batches. Entry i gets
+  // global clock clock_ + 1 + i, so the batch occupies the same clock range
+  // as the equivalent sequence of single registrations.
   std::vector<uint32_t> global_ids(entries.size());
   std::vector<std::vector<broker::ContractDatabase::BatchEntry>> sub(n);
-  std::vector<std::vector<size_t>> sub_origin(n);  // entry index per slot
   std::vector<std::vector<uint64_t>> sub_clocks(n);
-  std::vector<uint64_t> planned = slots_;
+  std::vector<uint64_t> next = slots_;
   for (size_t i = 0; i < entries.size(); ++i) {
-    size_t best = 0;
-    for (size_t k = 1; k < n; ++k) {
-      if (planned[k] * n + k < planned[best] * n + best) best = k;
-    }
-    global_ids[i] =
-        GlobalId(best, static_cast<uint32_t>(planned[best]), n);
-    planned[best] += 1;
-    sub[best].push_back(entries[i]);
-    sub_origin[best].push_back(i);
-    sub_clocks[best].push_back(clock_ + 1 + i);
+    const size_t k = RouteShard(next);
+    global_ids[i] = GlobalId(k, static_cast<uint32_t>(next[k]++), n);
+    sub[k].push_back(entries[i]);
+    sub_clocks[k].push_back(clock_ + 1 + i);
   }
 
   // Commit the sub-batches, each atomic within its shard.
-  std::vector<Status> shard_status(n, Status::OK());
-  auto commit_one = [&](size_t k) {
+  const auto committed = Scatter(pool_.get(), n, [&](size_t k) -> Status {
     if (sub[k].empty()) return Status::OK();
-    auto ids = shards_[k]->RegisterBatchWithClocks(sub[k], &sub_clocks[k]);
-    if (!ids.ok()) {
-      shard_status[k] = AnnotateShard(k, ids.status());
-      return shard_status[k];
-    }
-    for (size_t slot = 0; slot < ids->size(); ++slot) {
-      if ((*ids)[slot] !=
-          LocalId(global_ids[sub_origin[k][slot]], n)) {
-        shard_status[k] = Status::Internal(
-            AnnotateShard(k, Status::Internal("local id out of step"))
-                .message());
-        return shard_status[k];
+    CTDB_ASSIGN_OR_RETURN(
+        const std::vector<uint32_t> ids,
+        shards_[k]->RegisterBatchWithClocks(sub[k], &sub_clocks[k]));
+    for (size_t slot = 0; slot < ids.size(); ++slot) {
+      if (ids[slot] != slots_[k] + slot) {
+        return Status::Internal("local id out of step");
       }
     }
     return Status::OK();
-  };
-  Status first;
-  if (pool_) {
-    (void)pool_->ParallelFor(0, n, commit_one);
-    // ParallelFor may skip shards after the first error; run the skipped
-    // ones so the commit is as complete as it can be, then report the
-    // lowest-numbered failure deterministically.
-    for (size_t k = 0; k < n; ++k) {
-      if (!sub[k].empty() && shard_status[k].ok() &&
-          shards_[k]->slot_count() < planned[k]) {
-        (void)commit_one(k);
-      }
-      if (first.ok() && !shard_status[k].ok()) first = shard_status[k];
-    }
-  } else {
-    first = commit_one(0);
-  }
-  // Resync slots and the clock from the shards: on a partial failure some
-  // sub-batches committed (and consumed their planned clocks), and the
-  // router view must cover them.
-  for (size_t k = 0; k < n; ++k) {
-    slots_[k] = shards_[k]->slot_count();
-    clock_ = std::max(clock_, shards_[k]->last_sequence());
-  }
-  CTDB_RETURN_NOT_OK(first);
+  });
+  // Resync from the shards: on a partial failure some sub-batches committed
+  // (and consumed their planned clocks), and the router view must cover
+  // them.
+  for (size_t k = 0; k < n; ++k) ResyncLocked(k);
+  CTDB_RETURN_NOT_OK(FirstError(committed));
 
   for (size_t k = 0; k < n; ++k) {
 #if CTDB_OBS
@@ -344,36 +397,45 @@ Result<std::vector<uint32_t>> ShardedDatabase::RegisterBatch(
       register_counters_[k]->Add(sub[k].size());
     }
 #endif
-    for (size_t slot = 0; slot < sub[k].size(); ++slot) {
-      CTDB_RETURN_NOT_OK(BroadcastEventsLocked(
-          k, LocalId(global_ids[sub_origin[k][slot]], n)));
+    for (uint64_t local = slots_[k] - sub[k].size(); local < slots_[k];
+         ++local) {
+      CTDB_RETURN_NOT_OK(
+          BroadcastEventsLocked(k, static_cast<uint32_t>(local)));
     }
   }
   return global_ids;
 }
 
+Result<uint64_t> ShardedDatabase::MutateOwnerLocked(
+    uint32_t id, const std::function<Result<uint64_t>(
+                     broker::DurableDatabase&, uint32_t, uint64_t)>& mutate) {
+  const size_t n = shards_.size();
+  const size_t k = ShardOfId(id, n);
+  // NotFound names the global id: the shard only knows the local id, and
+  // an out-of-range local would read as a different contract.
+  const Status dead =
+      Status::NotFound("contract " + std::to_string(id) + " is not live");
+  if (LocalId(id, n) >= slots_[k]) return dead;
+  auto at = mutate(*shards_[k], LocalId(id, n), clock_ + 1);
+  // Resync even on failure: a WAL-append error still ticked the shard.
+  ResyncLocked(k);
+  if (!at.ok()) {
+    return at.status().code() == StatusCode::kNotFound
+               ? dead
+               : ShardError(k, at.status());
+  }
+  return at;
+}
+
 Result<uint64_t> ShardedDatabase::Unregister(uint32_t id) {
   CTDB_RETURN_NOT_OK(CheckOpen());
   std::lock_guard<std::mutex> lock(route_mutex_);
-  const size_t n = shards_.size();
-  const size_t k = ShardOfId(id, n);
-  // Surface the global id in the not-found case: the shard only knows the
-  // local id, and an out-of-range local would read as a different contract.
-  if (LocalId(id, n) >= slots_[k]) {
-    return Status::NotFound("contract " + std::to_string(id) +
-                            " is not live");
-  }
-  const uint64_t at = clock_ + 1;
-  auto result = shards_[k]->UnregisterWithClock(LocalId(id, n), at);
-  // Resync even on failure: a WAL-append error still ticked the shard.
-  clock_ = std::max(clock_, shards_[k]->last_sequence());
-  if (!result.ok()) {
-    if (result.status().code() == StatusCode::kNotFound) {
-      return Status::NotFound("contract " + std::to_string(id) +
-                              " is not live");
-    }
-    return AnnotateShard(k, result.status());
-  }
+  CTDB_ASSIGN_OR_RETURN(
+      const uint64_t at,
+      MutateOwnerLocked(id, [](broker::DurableDatabase& shard, uint32_t local,
+                               uint64_t clock) {
+        return shard.UnregisterWithClock(local, clock);
+      }));
   CTDB_OBS_COUNT("shard.unregisters", 1);
   return at;
 }
@@ -383,114 +445,57 @@ Result<uint64_t> ShardedDatabase::Replace(uint32_t id,
                                           broker::RegistrationStats* stats) {
   CTDB_RETURN_NOT_OK(CheckOpen());
   std::lock_guard<std::mutex> lock(route_mutex_);
-  const size_t n = shards_.size();
-  const size_t k = ShardOfId(id, n);
-  if (LocalId(id, n) >= slots_[k]) {
-    return Status::NotFound("contract " + std::to_string(id) +
-                            " is not live");
-  }
-  const uint64_t at = clock_ + 1;
-  auto result = shards_[k]->ReplaceWithClock(LocalId(id, n), ltl_text, stats,
-                                             at);
-  // Resync even on failure: a WAL-append error still ticked the shard.
-  clock_ = std::max(clock_, shards_[k]->last_sequence());
-  if (!result.ok()) {
-    if (result.status().code() == StatusCode::kNotFound) {
-      return Status::NotFound("contract " + std::to_string(id) +
-                              " is not live");
-    }
-    return result.status();  // parse/translate errors keep their wording
-  }
+  CTDB_ASSIGN_OR_RETURN(
+      const uint64_t at,
+      MutateOwnerLocked(id, [&](broker::DurableDatabase& shard, uint32_t local,
+                                uint64_t clock) {
+        return shard.ReplaceWithClock(local, ltl_text, stats, clock);
+      }));
   // The replacement text may cite brand-new events; keep the vocabularies
   // in sync exactly as Register does.
-  CTDB_RETURN_NOT_OK(BroadcastEventsLocked(k, LocalId(id, n)));
+  const size_t n = shards_.size();
+  CTDB_RETURN_NOT_OK(BroadcastEventsLocked(ShardOfId(id, n), LocalId(id, n)));
   CTDB_OBS_COUNT("shard.replaces", 1);
   return at;
 }
 
 Result<broker::QueryResult> ShardedDatabase::Query(
     std::string_view ltl_text, const broker::QueryOptions& options) const {
-  const std::string query(ltl_text);
-  CTDB_ASSIGN_OR_RETURN(std::vector<broker::QueryResult> results,
-                        QueryBatch({query}, options));
-  return std::move(results[0]);
+  CTDB_RETURN_NOT_OK(CheckOpen());
+  Timer wall;
+  auto per_shard = Scatter(pool_.get(), shards_.size(), [&](size_t k) {
+    return shards_[k]->Query(ltl_text, options);
+  });
+  CTDB_RETURN_NOT_OK(FirstError(per_shard));
+  broker::QueryResult merged = MergeQuery(
+      shards_.size(),
+      [&](size_t k) -> broker::QueryResult& { return *per_shard[k]; },
+      options.collect_witnesses);
+  merged.stats.total_ms = wall.ElapsedMillis();
+  CTDB_OBS_COUNT("shard.queries", 1);
+  return merged;
 }
 
 Result<std::vector<broker::QueryResult>> ShardedDatabase::QueryBatch(
     const std::vector<std::string>& queries,
     const broker::QueryOptions& options) const {
   CTDB_RETURN_NOT_OK(CheckOpen());
-  const size_t n = shards_.size();
   Timer wall;
-
-  // Scatter: every shard evaluates the whole batch against one of its
-  // snapshots.
-  std::vector<Result<std::vector<broker::QueryResult>>> per_shard(
-      n, Status::Internal("shard not reached"));
-  auto run_one = [&](size_t k) {
-    per_shard[k] = shards_[k]->QueryBatch(queries, options);
-    return Status::OK();  // errors merge below, in shard order
-  };
-  if (pool_ && n > 1) {
-    CTDB_RETURN_NOT_OK(pool_->ParallelFor(0, n, run_one));
-  } else {
-    for (size_t k = 0; k < n; ++k) (void)run_one(k);
-  }
-  for (size_t k = 0; k < n; ++k) {
-    // Parse / unknown-event errors are identical across shards (the
-    // vocabularies are kept in sync); report shard 0's wording.
-    CTDB_RETURN_NOT_OK(per_shard[k].status());
-  }
-  const double wall_ms = wall.ElapsedMillis();
-
-  // Gather: merge each query's shard results by ascending global id.
-  std::vector<broker::QueryResult> merged(queries.size());
+  // Every shard evaluates the whole batch against one of its snapshots.
+  auto per_shard = Scatter(pool_.get(), shards_.size(), [&](size_t k) {
+    return shards_[k]->QueryBatch(queries, options);
+  });
+  CTDB_RETURN_NOT_OK(FirstError(per_shard));
+  std::vector<broker::QueryResult> merged;
   for (size_t q = 0; q < queries.size(); ++q) {
-    broker::QueryResult& out = merged[q];
-    // k-way merge by global id; shard streams are already sorted by local
-    // id, and global = local * n + k preserves that order within a shard.
-    std::vector<size_t> cursor(n, 0);
-    size_t total = 0;
-    for (size_t k = 0; k < n; ++k) {
-      total += (*per_shard[k])[q].matches.size();
-    }
-    out.matches.reserve(total);
-    if (options.collect_witnesses) out.witnesses.reserve(total);
-    while (out.matches.size() < total) {
-      size_t best = n;
-      uint64_t best_id = 0;
-      for (size_t k = 0; k < n; ++k) {
-        const auto& r = (*per_shard[k])[q];
-        if (cursor[k] >= r.matches.size()) continue;
-        const uint64_t gid = GlobalId(k, r.matches[cursor[k]], n);
-        if (best == n || gid < best_id) {
-          best = k;
-          best_id = gid;
-        }
-      }
-      auto& r = (*per_shard[best])[q];
-      out.matches.push_back(static_cast<uint32_t>(best_id));
-      if (options.collect_witnesses) {
-        out.witnesses.push_back(std::move(r.witnesses[cursor[best]]));
-      }
-      cursor[best] += 1;
-    }
-    // Stats: sizes and counts sum; the parallel phases (translate,
-    // prefilter) cost their slowest shard; permission is summed CPU time;
-    // total is the scatter-gather wall clock for the whole batch.
-    for (size_t k = 0; k < n; ++k) {
-      const broker::QueryStats& s = (*per_shard[k])[q].stats;
-      broker::QueryStats& m = out.stats;
-      m.database_size += s.database_size;
-      m.candidates += s.candidates;
-      m.matches += s.matches;
-      m.translate_ms = std::max(m.translate_ms, s.translate_ms);
-      m.prefilter_ms = std::max(m.prefilter_ms, s.prefilter_ms);
-      m.permission_ms += s.permission_ms;
-      m.translate_cache_hit = m.translate_cache_hit || s.translate_cache_hit;
-    }
-    out.stats.total_ms = wall_ms;
+    merged.push_back(MergeQuery(
+        shards_.size(),
+        [&](size_t k) -> broker::QueryResult& { return (*per_shard[k])[q]; },
+        options.collect_witnesses));
   }
+  // total_ms is the scatter-gather wall clock of the whole batch.
+  const double wall_ms = wall.ElapsedMillis();
+  for (broker::QueryResult& result : merged) result.stats.total_ms = wall_ms;
   CTDB_OBS_COUNT("shard.queries", queries.size());
   return merged;
 }
@@ -511,12 +516,14 @@ Result<monitor::StreamOpenInfo> ShardedDatabase::StreamOpen(
   shard_options.as_of = pin;
   monitor::StreamOpenInfo info;
   info.clock = pin;
+  // Not scattered: opening in shard order makes shard 0 the arbiter, so of
+  // two racing opens of one name exactly one gets past it.
   for (size_t k = 0; k < shards_.size(); ++k) {
     auto opened = shards_[k]->StreamOpen(name, shard_options);
     if (!opened.ok()) {
       // All-or-nothing: a stream is open on every shard or on none.
       for (size_t j = 0; j < k; ++j) (void)shards_[j]->StreamClose(name);
-      return AnnotateShard(k, opened.status());
+      return ShardError(k, opened.status());
     }
     info.tracked += opened->tracked;
   }
@@ -527,51 +534,20 @@ Result<monitor::StreamAppendResult> ShardedDatabase::StreamAppend(
     std::string_view name, const monitor::EventBatch& events) {
   CTDB_RETURN_NOT_OK(CheckOpen());
   const size_t n = shards_.size();
-
-  // Scatter: every shard steps its own contracts through the whole batch.
-  std::vector<Result<monitor::StreamAppendResult>> per_shard(
-      n, Status::Internal("shard not reached"));
-  auto run_one = [&](size_t k) {
-    per_shard[k] = shards_[k]->StreamAppend(name, events);
-    return Status::OK();  // errors merge below, in shard order
-  };
-  if (pool_ && n > 1) {
-    CTDB_RETURN_NOT_OK(pool_->ParallelFor(0, n, run_one));
-  } else {
-    for (size_t k = 0; k < n; ++k) (void)run_one(k);
-  }
-  for (size_t k = 0; k < n; ++k) {
-    CTDB_RETURN_NOT_OK(AnnotateShard(k, per_shard[k].status()));
-  }
-
-  // Gather: k-way merge of the verdict deltas by ascending global id;
-  // every shard saw the same events, counters sum.
+  // Every shard steps its own contracts through the whole batch.
+  auto per_shard = Scatter(pool_.get(), n, [&](size_t k) {
+    return shards_[k]->StreamAppend(name, events);
+  });
+  CTDB_RETURN_NOT_OK(FirstError(per_shard));
+  // Every shard saw the same events; counters sum.
   monitor::StreamAppendResult merged;
-  merged.events = (*per_shard[0]).events;
-  size_t total = 0;
-  for (size_t k = 0; k < n; ++k) {
-    merged.stepped += (*per_shard[k]).stepped;
-    merged.pruned += (*per_shard[k]).pruned;
-    total += (*per_shard[k]).deltas.size();
+  merged.events = per_shard[0]->events;
+  for (const auto& r : per_shard) {
+    merged.stepped += r->stepped;
+    merged.pruned += r->pruned;
   }
-  merged.deltas.reserve(total);
-  std::vector<size_t> cursor(n, 0);
-  while (merged.deltas.size() < total) {
-    size_t best = n;
-    uint64_t best_id = 0;
-    for (size_t k = 0; k < n; ++k) {
-      const auto& deltas = (*per_shard[k]).deltas;
-      if (cursor[k] >= deltas.size()) continue;
-      const uint64_t gid = GlobalId(k, deltas[cursor[k]].contract_id, n);
-      if (best == n || gid < best_id) {
-        best = k;
-        best_id = gid;
-      }
-    }
-    merged.deltas.push_back({static_cast<uint32_t>(best_id),
-                             (*per_shard[best]).deltas[cursor[best]].verdict});
-    cursor[best] += 1;
-  }
+  merged.deltas = MergeVerdicts(
+      n, [&](size_t k) -> const auto& { return per_shard[k]->deltas; });
   return merged;
 }
 
@@ -580,71 +556,35 @@ Result<monitor::StreamCloseInfo> ShardedDatabase::StreamClose(
   // No CheckOpen: closing a stream is read-only summary work and stays
   // legal while the database shuts down.
   const size_t n = shards_.size();
-  std::vector<Result<monitor::StreamCloseInfo>> per_shard(
-      n, Status::Internal("shard not reached"));
-  for (size_t k = 0; k < n; ++k) {
-    per_shard[k] = shards_[k]->StreamClose(name);
-  }
-  for (size_t k = 0; k < n; ++k) {
-    CTDB_RETURN_NOT_OK(AnnotateShard(k, per_shard[k].status()));
-  }
+  auto per_shard = Scatter(pool_.get(), n, [&](size_t k) {
+    return shards_[k]->StreamClose(name);
+  });
+  CTDB_RETURN_NOT_OK(FirstError(per_shard));
   monitor::StreamCloseInfo info;
-  info.events = (*per_shard[0]).events;
-  size_t total = 0;
-  for (size_t k = 0; k < n; ++k) {
-    info.satisfied += (*per_shard[k]).satisfied;
-    info.violated += (*per_shard[k]).violated;
-    info.undetermined += (*per_shard[k]).undetermined;
-    total += (*per_shard[k]).verdicts.size();
+  info.events = per_shard[0]->events;
+  for (const auto& r : per_shard) {
+    info.satisfied += r->satisfied;
+    info.violated += r->violated;
+    info.undetermined += r->undetermined;
   }
-  info.verdicts.reserve(total);
-  std::vector<size_t> cursor(n, 0);
-  while (info.verdicts.size() < total) {
-    size_t best = n;
-    uint64_t best_id = 0;
-    for (size_t k = 0; k < n; ++k) {
-      const auto& verdicts = (*per_shard[k]).verdicts;
-      if (cursor[k] >= verdicts.size()) continue;
-      const uint64_t gid = GlobalId(k, verdicts[cursor[k]].contract_id, n);
-      if (best == n || gid < best_id) {
-        best = k;
-        best_id = gid;
-      }
-    }
-    info.verdicts.push_back(
-        {static_cast<uint32_t>(best_id),
-         (*per_shard[best]).verdicts[cursor[best]].verdict});
-    cursor[best] += 1;
-  }
+  info.verdicts = MergeVerdicts(
+      n, [&](size_t k) -> const auto& { return per_shard[k]->verdicts; });
   return info;
 }
 
 Status ShardedDatabase::Checkpoint() {
   CTDB_RETURN_NOT_OK(CheckOpen());
-  const size_t n = shards_.size();
-  std::vector<Status> status(n, Status::OK());
-  auto one = [&](size_t k) {
-    status[k] = AnnotateShard(k, shards_[k]->Checkpoint());
-    return Status::OK();  // attempt every shard; merge below
-  };
-  if (pool_ && n > 1) {
-    (void)pool_->ParallelFor(0, n, one);
-  } else {
-    for (size_t k = 0; k < n; ++k) (void)one(k);
-  }
-  for (size_t k = 0; k < n; ++k) CTDB_RETURN_NOT_OK(status[k]);
+  CTDB_RETURN_NOT_OK(FirstError(Scatter(
+      pool_.get(), shards_.size(),
+      [&](size_t k) { return shards_[k]->Checkpoint(); })));
   CTDB_OBS_COUNT("shard.checkpoints", 1);
   return Status::OK();
 }
 
 Status ShardedDatabase::Close() {
   if (closed_.exchange(true, std::memory_order_acq_rel)) return Status::OK();
-  Status first;
-  for (size_t k = 0; k < shards_.size(); ++k) {
-    Status s = AnnotateShard(k, shards_[k]->Close());
-    if (first.ok()) first = s;
-  }
-  return first;
+  return FirstError(Scatter(pool_.get(), shards_.size(),
+                            [&](size_t k) { return shards_[k]->Close(); }));
 }
 
 size_t ShardedDatabase::size() const {

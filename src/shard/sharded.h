@@ -51,6 +51,12 @@
 // ids and merged in ascending id order with their witnesses; stats merge as
 // documented on Query below.
 //
+// Errors. Every fan-out runs all shards and reports the lowest-numbered
+// shard's error under one rule: Internal, Corruption and Unavailable report
+// that shard's own state and are prefixed with its directory ("shard-001:
+// ..."); every other code keeps the wording an unsharded database gives, so
+// a bad request reads the same in any topology.
+//
 // Topology. The root directory carries a MANIFEST (shard/manifest.h)
 // recording shard count and directories; Open fails with InvalidArgument on
 // a mismatch instead of silently mis-routing, and with Corruption naming
@@ -62,6 +68,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -98,7 +105,8 @@ struct ShardedRecoveryStats {
 /// with each other and with registrations (scatter-gather runs on the
 /// router's own pool); Register calls from multiple threads serialize on
 /// the router's route lock; Checkpoint may run concurrently with
-/// everything. After Close every operation returns Status::Unavailable.
+/// everything. After Close every operation but StreamClose returns
+/// Status::Unavailable.
 class ShardedDatabase : public broker::Broker {
  public:
   /// Opens (creating directory + manifest if needed) or recovers a sharded
@@ -149,8 +157,8 @@ class ShardedDatabase : public broker::Broker {
   /// match / database-size counts summed; translate_ms and prefilter_ms the
   /// max across shards (they run in parallel); permission_ms the sum (CPU
   /// view); total_ms the scatter-gather wall time. Error parity: an error
-  /// (parse failure, unknown event) is returned as the lowest-numbered
-  /// shard's status — the broadcast vocabulary makes all shards agree.
+  /// (parse failure, unknown event) is the lowest-numbered shard's status,
+  /// worded as unsharded — the broadcast vocabulary makes all shards agree.
   Result<broker::QueryResult> Query(
       std::string_view ltl_text,
       const broker::QueryOptions& options = {}) const override;
@@ -180,8 +188,8 @@ class ShardedDatabase : public broker::Broker {
   Result<monitor::StreamCloseInfo> StreamClose(std::string_view name) override;
   /// @}
 
-  /// Checkpoints every shard in parallel; returns the first error but
-  /// attempts all shards regardless.
+  /// Checkpoints every shard in parallel; returns the lowest-numbered
+  /// shard's error but attempts all shards regardless.
   Status Checkpoint() override;
 
   /// Closes every shard; idempotent, run by the destructor.
@@ -224,13 +232,20 @@ class ShardedDatabase : public broker::Broker {
                   std::unique_ptr<util::ThreadPool> pool,
                   ShardedRecoveryStats recovery_stats);
 
-  /// Global id the next registration on shard `k` would get.
-  uint64_t NextGlobalIdOf(size_t k) const {
-    return slots_[k] * shards_.size() + k;
-  }
-  /// Shard owning the lowest next global id (route target). Caller holds
-  /// route_mutex_.
-  size_t RouteShardLocked() const;
+  /// Shard owning the lowest next global id, given per-shard slot counts
+  /// (the route target of the next registration).
+  static size_t RouteShard(const std::vector<uint64_t>& slots);
+
+  /// Re-reads shard `k`'s slot count into the route table and raises the
+  /// global clock to its clock. Caller holds route_mutex_.
+  void ResyncLocked(size_t k);
+
+  /// The lifecycle path: runs `mutate(shard, local id, clock)` on the owner
+  /// of global contract `id` at the next global clock, then resyncs; a dead
+  /// id is NotFound naming the global id. Caller holds route_mutex_.
+  Result<uint64_t> MutateOwnerLocked(
+      uint32_t id, const std::function<Result<uint64_t>(
+                       broker::DurableDatabase&, uint32_t, uint64_t)>& mutate);
 
   /// Interns every event cited by shard `from`'s contract `local_id` into
   /// all other shards. Caller holds route_mutex_.

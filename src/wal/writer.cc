@@ -58,7 +58,7 @@ std::future<Status> LogWriter::AppendAsync(const Record& record) {
   std::future<Status> future = promise.get_future();
   std::lock_guard<std::mutex> lock(queue_mutex_);
   if (closed_ || stop_) {
-    promise.set_value(Status::InvalidArgument("log writer is closed"));
+    promise.set_value(Status::Unavailable("log writer is closed"));
     return future;
   }
   if (!sticky_error_.ok()) {
@@ -91,7 +91,7 @@ Status LogWriter::RotateSegment() {
     future = promise.get_future();
     std::lock_guard<std::mutex> lock(queue_mutex_);
     if (closed_ || stop_) {
-      return Status::InvalidArgument("log writer is closed");
+      return Status::Unavailable("log writer is closed");
     }
     if (!sticky_error_.ok()) return sticky_error_;
     Pending pending;

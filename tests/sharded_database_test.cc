@@ -2,13 +2,15 @@
 // any shard count must be observationally identical to the single-database
 // oracle — same global ids, same query matches in the same order, same
 // error surface — plus the sharding-specific contracts: manifest topology
-// checks, cross-shard vocabulary broadcast, Unavailable after Close.
+// checks, cross-shard vocabulary broadcast, Unavailable after Close (held
+// for both Broker implementations).
 
 #include "shard/sharded.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -79,6 +81,20 @@ void MirrorRegistrations(const broker::ContractDatabase& oracle,
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     ASSERT_EQ(*got, id) << "router must reproduce the oracle's dense ids";
   }
+}
+
+/// The Broker under test: the unsharded DurableDatabase for 0 shards, the
+/// router otherwise. Null when opening failed.
+std::unique_ptr<broker::Broker> OpenBroker(const std::string& dir,
+                                           size_t shards) {
+  if (shards == 0) {
+    auto db = broker::DurableDatabase::Open(dir, FastOptions());
+    EXPECT_TRUE(db.ok()) << db.status().ToString();
+    return db.ok() ? std::move(*db) : nullptr;
+  }
+  auto db = ShardedDatabase::Open(dir, FastOptions(), ShardOptions(shards));
+  EXPECT_TRUE(db.ok()) << db.status().ToString();
+  return db.ok() ? std::move(*db) : nullptr;
 }
 
 void ExpectQueryParity(const broker::ContractDatabase& oracle,
@@ -257,21 +273,88 @@ TEST(ShardedDatabaseTest, RegisterBatchStripesAndIsAllOrNothing) {
 }
 
 TEST(ShardedDatabaseTest, EverythingIsUnavailableAfterClose) {
+  // Both Broker implementations: 0 opens the unsharded DurableDatabase.
+  for (const size_t shards : {0, 2}) {
+    SCOPED_TRACE(shards);
+    TempDir dir("sharded");
+    const std::unique_ptr<broker::Broker> db = OpenBroker(dir.path(), shards);
+    ASSERT_NE(db, nullptr);
+    ASSERT_TRUE(db->Register("c", "F p1").ok());
+    ASSERT_TRUE(db->StreamOpen("s").ok());
+    ASSERT_TRUE(db->Close().ok());
+    ASSERT_TRUE(db->Close().ok());  // idempotent
+
+    const StatusCode unavailable = StatusCode::kUnavailable;
+    EXPECT_EQ(db->Register("late", "F p1").status().code(), unavailable);
+    EXPECT_EQ(db->RegisterBatch({{"x", "F p1"}}).status().code(),
+              unavailable);
+    EXPECT_EQ(db->Unregister(0).status().code(), unavailable);
+    EXPECT_EQ(db->Replace(0, "G p1").status().code(), unavailable);
+    EXPECT_EQ(db->StreamOpen("t").status().code(), unavailable);
+    EXPECT_EQ(db->StreamAppend("s", {{"p1"}}).status().code(), unavailable);
+    EXPECT_EQ(db->Checkpoint().code(), unavailable);
+    // Closing a stream is summary work and stays legal.
+    EXPECT_TRUE(db->StreamClose("s").ok());
+    if (shards == 0) {
+      // Queries stay legal on a closed DurableDatabase (durable.h).
+      EXPECT_TRUE(db->Query("F p1").ok());
+    } else {
+      EXPECT_EQ(db->Query("F p1").status().code(), unavailable);
+      EXPECT_EQ(db->QueryBatch({"F p1"}).status().code(), unavailable);
+    }
+  }
+}
+
+// A bad request reads the same in every topology: the unsharded database
+// and the router at 2 and 4 shards answer each with the same code and the
+// same message.
+TEST(ShardedDatabaseTest, RequestErrorsMatchAcrossTopologies) {
+  std::vector<std::vector<Status>> answers;
+  for (const size_t shards : {0, 2, 4}) {
+    SCOPED_TRACE(shards);
+    TempDir dir("sharded");
+    const std::unique_ptr<broker::Broker> db = OpenBroker(dir.path(), shards);
+    ASSERT_NE(db, nullptr);
+    for (int i = 0; i < 6; ++i) {
+      ASSERT_TRUE(
+          db->Register("c" + std::to_string(i), "G(p1 -> F p2)").ok());
+    }
+    ASSERT_TRUE(db->Unregister(3).ok());
+    ASSERT_TRUE(db->StreamOpen("open").ok());
+    answers.push_back({
+        db->Query("F nosuchevent").status(),
+        db->QueryBatch({"F p1", "F nosuchevent"}).status(),
+        db->Query("F (p1").status(),
+        db->StreamAppend("never", {{"p1"}}).status(),
+        db->StreamClose("never").status(),
+        db->StreamOpen("open").status(),
+        db->Unregister(3).status(),
+        db->Replace(3, "F p2").status(),
+        db->Unregister(42).status(),
+        db->Replace(42, "F p2").status(),
+    });
+  }
+  for (size_t i = 0; i < answers[0].size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_FALSE(answers[0][i].ok());
+    for (size_t t = 1; t < answers.size(); ++t) {
+      EXPECT_EQ(answers[t][i].ToString(), answers[0][i].ToString());
+    }
+  }
+}
+
+// A failure of one shard's own state names that shard: the message starts
+// with the shard's directory, whatever path the failing call reports.
+TEST(ShardedDatabaseTest, ShardStateFailureNamesTheShard) {
   TempDir dir("sharded");
   auto db = ShardedDatabase::Open(dir.path(), FastOptions(), ShardOptions(2));
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   ASSERT_TRUE((*db)->Register("c", "F p1").ok());
-  ASSERT_TRUE((*db)->Close().ok());
-  ASSERT_TRUE((*db)->Close().ok());  // idempotent
-
-  EXPECT_EQ((*db)->Register("late", "F p1").status().code(),
-            StatusCode::kUnavailable);
-  EXPECT_EQ((*db)->Query("F p1").status().code(), StatusCode::kUnavailable);
-  EXPECT_EQ((*db)->QueryBatch({"F p1"}).status().code(),
-            StatusCode::kUnavailable);
-  EXPECT_EQ((*db)->RegisterBatch({{"x", "F p1"}}).status().code(),
-            StatusCode::kUnavailable);
-  EXPECT_EQ((*db)->Checkpoint().code(), StatusCode::kUnavailable);
+  ASSERT_GT(std::filesystem::remove_all(dir.file(ShardDirName(1))), 0u);
+  const Status status = (*db)->Checkpoint();
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.message().rfind("shard-001: ", 0), 0u)
+      << status.ToString();
 }
 
 TEST(ShardedDatabaseTest, RecoveryPreservesParityAndVocabulary) {
