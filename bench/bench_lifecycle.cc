@@ -3,11 +3,13 @@
 //  * mutation cost — Replace (supersede a live spec in place) and the
 //    Unregister+Register churn cycle, both dominated by the LTL→BA
 //    translation plus the copy-on-write prefilter/history swaps;
-//  * time-travel cost — as-of queries take the unindexed full-scan path
-//    over VisibleAt(seq), so BM_QueryAsOf_* against BM_QueryLatest prices
-//    exactly what the historical guarantee costs;
+//  * time-travel cost — as-of queries prefilter the versions still live
+//    and check every visible history version in full (history is not
+//    indexed), so BM_QueryAsOf_* against BM_QueryLatest prices exactly
+//    what the historical guarantee costs;
 //  * depth sensitivity — as-of at the pre-churn clock resolves against the
-//    deepest history, as-of at mid-churn against a mixed live/history set.
+//    deepest history, as-of at mid-churn against versions the later churn
+//    rounds superseded.
 
 #include <benchmark/benchmark.h>
 
@@ -126,15 +128,15 @@ void EvaluateQueries(benchmark::State& state, uint64_t as_of) {
 void BM_QueryLatest(benchmark::State& state) { EvaluateQueries(state, 0); }
 BENCHMARK(BM_QueryLatest);
 
-// Historical full scan at the mid-churn clock: roughly half the contracts
-// resolve from the history store, half from the live table.
+// As-of at the mid-churn clock: the churn replaced every contract after it,
+// so every visible version is history and gets a full check.
 void BM_QueryAsOf_MidChurn(benchmark::State& state) {
   EvaluateQueries(state, GetFixture()->mid_churn_clock);
 }
 BENCHMARK(BM_QueryAsOf_MidChurn);
 
-// Historical full scan at the pre-churn clock: every contract resolves
-// from the deepest history version (the original registrations).
+// As-of at the pre-churn clock: every contract resolves from the deepest
+// history version (the original registrations), each checked in full.
 void BM_QueryAsOf_PreChurn(benchmark::State& state) {
   EvaluateQueries(state, GetFixture()->pre_churn_clock);
 }

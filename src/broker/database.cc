@@ -445,7 +445,10 @@ Result<std::vector<uint32_t>> ContractDatabase::RegisterBatch(
 Result<EventId> ContractDatabase::InternEvent(std::string_view name) {
   std::lock_guard<std::mutex> lock(writer_mutex_);
   CTDB_ASSIGN_OR_RETURN(EventId id, vocab_.Intern(name));
-  Publish();
+  // Publish only when the published vocabulary lags: re-interning a known
+  // event (the router does so for every cited event on every other shard)
+  // changes nothing.
+  if (published_vocab_->size() != vocab_.size()) Publish();
   return id;
 }
 

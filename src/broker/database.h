@@ -150,10 +150,11 @@ class ContractDatabase {
       const std::vector<uint64_t>* clocks = nullptr);
 
   /// Interns an event into the vocabulary without registering a contract,
-  /// and publishes the change so subsequent queries may cite it. Returns the
-  /// event's id (the existing one if already interned). This is the
-  /// writer-side way to introduce query-only events (e.g. the persistence
-  /// loader restoring a vocabulary larger than its contracts cite).
+  /// and publishes the change, if any, so subsequent queries may cite it.
+  /// Returns the event's id (the existing one if already interned). This is
+  /// the writer-side way to introduce query-only events (e.g. the
+  /// persistence loader restoring a vocabulary larger than its contracts
+  /// cite).
   Result<EventId> InternEvent(std::string_view name);
 
   /// \brief The current immutable snapshot.

@@ -1,6 +1,7 @@
 #include "broker/snapshot.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "core/compatibility.h"
@@ -12,6 +13,36 @@
 #include "util/timer.h"
 
 namespace ctdb::broker {
+
+namespace {
+
+bool ById(const Contract* a, const Contract* b) { return a->id < b->id; }
+
+/// One (query, candidate) permission check's outcome.
+struct Verdict {
+  bool permits = false;
+  LassoWord witness;
+  core::PermissionStats stats;
+  double ms = 0;
+};
+
+/// One query on its way through the engine.
+struct Plan {
+  std::shared_ptr<const automata::Buchi> ba;
+  Bitset events;                            ///< events the query cites
+  std::vector<const Contract*> candidates;  ///< sorted by id
+  std::vector<Verdict> verdicts;            ///< one per candidate
+};
+
+/// Runs `body(w)` for every worker w in [0, workers): inline when there is
+/// one, else on `pool`.
+template <typename Body>
+Status ForEachWorker(util::ThreadPool* pool, size_t workers, const Body& body) {
+  if (workers <= 1) return body(0);
+  return pool->ParallelFor(0, workers, body);
+}
+
+}  // namespace
 
 size_t DatabaseSnapshot::ResolveThreads(size_t requested,
                                         const util::ThreadPool* pool) const {
@@ -28,240 +59,38 @@ Result<QueryResult> DatabaseSnapshot::Query(std::string_view ltl_text,
   ltl::FormulaFactory factory;
   CTDB_ASSIGN_OR_RETURN(const ltl::Formula* query,
                         ltl::Parse(ltl_text, &factory, *vocab_));
-  return RunQuery(query, &factory, options, pool);
+  return RunOne(query, &factory, options, pool);
 }
 
 Result<QueryResult> DatabaseSnapshot::QueryFormula(
     const ltl::Formula* query, const QueryOptions& options,
     util::ThreadPool* pool) const {
-  // The translation below rebuilds `query` into this local factory (NNF
+  // The translation rebuilds `query` into this local factory (NNF
   // normalization copies the formula first), so callers may pass formulas
   // owned by any factory — including the database's shared one — without
   // the read path interning into it.
   ltl::FormulaFactory factory;
-  return RunQuery(query, &factory, options, pool);
+  return RunOne(query, &factory, options, pool);
 }
 
-void DatabaseSnapshot::CheckCandidate(const Contract& contract,
-                                      const automata::Buchi& query_ba,
-                                      const Bitset& query_events,
-                                      const QueryOptions& options,
-                                      std::vector<uint32_t>* matches,
-                                      std::vector<LassoWord>* witnesses,
-                                      core::PermissionStats* stats) const {
-  const bool use_projection =
-      options.use_projections && options_.build_projections;
-  const automata::Buchi& contract_ba =
-      use_projection ? contract.projections.ForQueryEvents(query_events)
-                     : contract.automaton();
-  // Seed states were computed on the registered automaton; the quotient has
-  // different state ids, so only pass them through when applicable.
-  const Bitset* seeds = use_projection ? nullptr : &contract.seed_states;
-  if (core::Permits(contract_ba, contract.events, query_ba,
-                    options.permission, seeds, stats)) {
-    matches->push_back(contract.id);
-    if (options.collect_witnesses) {
-      // Witnesses come from the *registered* automaton: the simplified
-      // projection's labels are projected, so its runs are not directly
-      // presentable contract behavior.
-      auto witness = core::FindWitness(contract.automaton(), contract.events,
-                                       query_ba);
-      witnesses->push_back(witness.has_value() ? std::move(*witness)
-                                               : LassoWord{});
-    }
-  }
-}
-
-Result<QueryResult> DatabaseSnapshot::RunQuery(const ltl::Formula* query,
-                                               ltl::FormulaFactory* factory,
-                                               const QueryOptions& options,
-                                               util::ThreadPool* pool) const {
-  QueryResult result;
-  result.stats.database_size = live_count_;
-  Timer total;
+Result<QueryResult> DatabaseSnapshot::RunOne(const ltl::Formula* query,
+                                             ltl::FormulaFactory* factory,
+                                             const QueryOptions& options,
+                                             util::ThreadPool* pool) const {
   CTDB_OBS_SPAN(query_span, "query");
-
-  // 1. LTL → BA (charged to the query in both modes, §7.3), through the
-  // shared translation cache when the database configured one: a repeated
-  // query structure costs one canonical-key build and a hash probe instead
-  // of the tableau pipeline. The miss path opens its own "translate" span.
-  Timer phase;
-  bool cache_hit = false;
   CTDB_ASSIGN_OR_RETURN(
-      const std::shared_ptr<const automata::Buchi> query_ba_ptr,
-      translate::LtlToBuchiCached(query, factory, translation_cache_.get(),
-                                  options_.translate, nullptr, &cache_hit));
-  const automata::Buchi& query_ba = *query_ba_ptr;
-  result.stats.translate_ms = phase.ElapsedMillis();
-  result.stats.translate_cache_hit = cache_hit;
-  result.stats.query_states = query_ba.StateCount();
-  result.stats.query_transitions = query_ba.TransitionCount();
-
-  // Time travel: an as_of clock strictly before this snapshot's diverts to
-  // the historical engine (full scan over the reconstructed version set); a
-  // clock at or past the snapshot is just "latest" and stays on this path.
-  if (options.as_of != 0 && options.as_of < clock_) {
-    return RunQueryAsOf(query_ba, options, std::move(result), &total);
-  }
-
-  // 2. Prefilter: pruning condition → candidate set (§4).
-  phase.Reset();
-  Bitset candidates;
-  {
-    CTDB_OBS_SPAN(prefilter_span, "query.prefilter");
-    Prefiltered prefiltered = Prefilter(query_ba, options);
-    candidates = std::move(prefiltered.candidates);
-    CTDB_OBS_SPAN_ATTR(prefilter_span, "candidates", candidates.Count());
-    CTDB_OBS_SPAN_ATTR(prefilter_span, "condition_size",
-                       prefiltered.condition_size);
-    CTDB_OBS_SPAN_ATTR(prefilter_span, "overflow", prefiltered.overflowed);
-  }
-  result.stats.prefilter_ms = phase.ElapsedMillis();
-  result.stats.candidates = candidates.Count();
-
-  // 3. Permission checks over candidates (§3.1 / §5.2), on the given
-  // executor when more than one thread is requested.
-  phase.Reset();
-  CTDB_OBS_SPAN(permission_span, "query.permission");
-  const Bitset query_events = query_ba.CitedEvents();
-
-  const std::vector<size_t> candidate_ids = candidates.ToVector();
-  const size_t threads =
-      std::min(ResolveThreads(options.threads, pool),
-               candidate_ids.size() == 0 ? size_t{1} : candidate_ids.size());
-  if (threads <= 1) {
-    for (size_t idx : candidate_ids) {
-      CheckCandidate(*contracts_[idx], query_ba, query_events, options,
-                     &result.matches, &result.witnesses,
-                     &result.stats.permission);
-    }
-  } else {
-    // Strided static partition (shard t takes candidates t, t+threads, …):
-    // spreads expensive contracts across shards. Concurrent shards may touch
-    // the same contract only across *different* queries; within this query
-    // each contract belongs to exactly one shard, and the lazy quotient
-    // caches are internally synchronized anyway. Results are re-sorted by
-    // contract id afterwards.
-    struct Shard {
-      std::vector<uint32_t> matches;
-      std::vector<LassoWord> witnesses;
-      core::PermissionStats stats;
-    };
-    std::vector<Shard> shards(threads);
-    CTDB_RETURN_NOT_OK(pool->ParallelFor(0, threads, [&](size_t t) -> Status {
-      for (size_t i = t; i < candidate_ids.size(); i += threads) {
-        CheckCandidate(*contracts_[candidate_ids[i]], query_ba, query_events,
-                       options, &shards[t].matches, &shards[t].witnesses,
-                       &shards[t].stats);
-      }
-      return Status::OK();
-    }));
-    std::vector<std::pair<uint32_t, LassoWord>> merged;
-    for (Shard& shard : shards) {
-      for (size_t i = 0; i < shard.matches.size(); ++i) {
-        merged.emplace_back(shard.matches[i],
-                            options.collect_witnesses
-                                ? std::move(shard.witnesses[i])
-                                : LassoWord{});
-      }
-      result.stats.permission.MergeFrom(shard.stats);
-    }
-    std::sort(merged.begin(), merged.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (auto& [id, witness] : merged) {
-      result.matches.push_back(id);
-      if (options.collect_witnesses) {
-        result.witnesses.push_back(std::move(witness));
-      }
-    }
-  }
-  result.stats.permission_ms = phase.ElapsedMillis();
-  result.stats.matches = result.matches.size();
-  result.stats.total_ms = total.ElapsedMillis();
-  CTDB_OBS_SPAN_ATTR(query_span, "candidates", result.stats.candidates);
-  CTDB_OBS_SPAN_ATTR(query_span, "matches", result.stats.matches);
-  RecordQueryStats(result.stats);
-  return result;
-}
-
-DatabaseSnapshot::Prefiltered DatabaseSnapshot::Prefilter(
-    const automata::Buchi& query_ba, const QueryOptions& options) const {
-  Prefiltered out;
-  if (!options.use_prefilter || !options_.build_prefilter) {
-    out.candidates = live_;
-    return out;
-  }
-  const index::Condition condition = index::ExtractPruningCondition(
-      query_ba, options.pruning, &out.overflowed);
-  out.condition_size = condition.Size();
-  // Dead contracts are scrubbed from the index by Unregister/Replace, but
-  // the live mask is ANDed in anyway — exactness must not hinge on index
-  // hygiene.
-  out.candidates = condition.Evaluate(prefilter_);
-  out.candidates.Resize(contracts_.size());
-  out.candidates &= live_;
-  return out;
-}
-
-std::vector<const Contract*> DatabaseSnapshot::VisibleAt(uint64_t seq) const {
-  // At any clock a contract id has at most one visible version: live
-  // versions are open-ended ([valid_from, ∞)) and historical periods of the
-  // same id are disjoint (each Replace closes the old period exactly where
-  // the new one opens).
-  std::vector<const Contract*> visible;
-  for (const auto& c : contracts_) {
-    if (c != nullptr && c->valid_from <= seq) visible.push_back(c.get());
-  }
-  for (const ContractVersion& v : history_->versions()) {
-    if (v.VisibleAt(seq)) visible.push_back(v.contract.get());
-  }
-  std::sort(visible.begin(), visible.end(),
-            [](const Contract* a, const Contract* b) { return a->id < b->id; });
-  return visible;
-}
-
-Result<QueryResult> DatabaseSnapshot::RunQueryAsOf(
-    const automata::Buchi& query_ba, const QueryOptions& options,
-    QueryResult result, Timer* total) const {
-  if (options.as_of < history_->floor()) {
-    return Status::InvalidArgument(
-        "as_of " + std::to_string(options.as_of) +
-        " is below the retention floor " + std::to_string(history_->floor()) +
-        ": history there has been discarded");
-  }
-  CTDB_OBS_SPAN(asof_span, "query.as_of");
-  CTDB_OBS_COUNT("broker.queries.as_of", 1);
-  Timer phase;
-  const std::vector<const Contract*> visible = VisibleAt(options.as_of);
-  result.stats.database_size = visible.size();
-  result.stats.prefilter_ms = phase.ElapsedMillis();
-  result.stats.candidates = visible.size();
-
-  // Full scan: every visible version gets a real permission check. The
-  // prefilter only indexes live contracts, so using it here could drop
-  // historical matches — exactness wins over speed for audit queries.
-  phase.Reset();
-  const Bitset query_events = query_ba.CitedEvents();
-  for (const Contract* contract : visible) {
-    CheckCandidate(*contract, query_ba, query_events, options,
-                   &result.matches, &result.witnesses,
-                   &result.stats.permission);
-  }
-  result.stats.permission_ms = phase.ElapsedMillis();
-  result.stats.matches = result.matches.size();
-  result.stats.total_ms = total->ElapsedMillis();
-  CTDB_OBS_SPAN_ATTR(asof_span, "visible", visible.size());
-  CTDB_OBS_SPAN_ATTR(asof_span, "matches", result.stats.matches);
-  RecordQueryStats(result.stats);
-  return result;
+      std::vector<QueryResult> results,
+      Run({query}, factory, options, pool, "query.permission"));
+  CTDB_OBS_SPAN_ATTR(query_span, "candidates", results[0].stats.candidates);
+  CTDB_OBS_SPAN_ATTR(query_span, "matches", results[0].stats.matches);
+  return std::move(results[0]);
 }
 
 Result<std::vector<QueryResult>> DatabaseSnapshot::QueryBatch(
     const std::vector<std::string>& queries, const QueryOptions& options,
     util::ThreadPool* pool) const {
-  // Phase 1 (serial): parse every query read-only against the snapshot
-  // vocabulary, so unknown-event typos fail the whole batch up front (the
-  // same contract Query offers).
+  // Parse every query read-only against the snapshot vocabulary first, so
+  // an unknown-event typo fails the whole batch before any is evaluated.
   CTDB_OBS_SPAN(batch_span, "query_batch");
   CTDB_OBS_SPAN_ATTR(batch_span, "queries", queries.size());
   ltl::FormulaFactory factory;
@@ -278,143 +107,196 @@ Result<std::vector<QueryResult>> DatabaseSnapshot::QueryBatch(
       formulas[i] = *parsed;
     }
   }
+  return Run(formulas, &factory, options, pool, "query_batch.permission");
+}
 
-  std::vector<QueryResult> results(queries.size());
-  // Historical batches take the serial path unconditionally: the parallel
-  // phases below are built around the live prefilter, while as-of
-  // evaluation is a per-query full scan (RunQuery diverts internally).
-  const size_t threads =
-      options.as_of != 0
-          ? 1
-          : std::min(ResolveThreads(options.threads, pool),
-                     queries.size() == 0 ? size_t{1} : queries.size());
-  if (threads <= 1) {
-    // Serial: exactly a sequence of Query calls.
-    for (size_t i = 0; i < queries.size(); ++i) {
-      CTDB_ASSIGN_OR_RETURN(results[i],
-                            RunQuery(formulas[i], &factory, options, nullptr));
-    }
-    return results;
+Result<std::vector<QueryResult>> DatabaseSnapshot::Run(
+    const std::vector<const ltl::Formula*>& formulas,
+    ltl::FormulaFactory* factory, const QueryOptions& options,
+    util::ThreadPool* pool,
+    [[maybe_unused]] const char* permission_span) const {
+  // Time travel (DESIGN.md §14): 0, or a clock at or past this snapshot's,
+  // is "latest".
+  const bool as_of = options.as_of != 0 && options.as_of < clock_;
+  const uint64_t clock = as_of ? options.as_of : clock_;
+  if (as_of && clock < history_->floor()) {
+    return Status::InvalidArgument(
+        "as_of " + std::to_string(clock) + " is below the retention floor " +
+        std::to_string(history_->floor()) +
+        ": history there has been discarded");
   }
+  if (as_of) CTDB_OBS_COUNT("broker.queries.as_of", formulas.size());
+  const size_t visible = as_of ? VisibleAt(clock).size() : live_count_;
+  const size_t threads = ResolveThreads(options.threads, pool);
+  const size_t n = formulas.size();
+  std::vector<QueryResult> results(n);
+  std::vector<Plan> plans(n);
 
-  // Phase 2 (parallel across queries): translate and prefilter. Workers
-  // parse into thread-local factories; every shared structure they read
-  // (vocabulary, prefilter) is frozen in this snapshot.
-  struct Prep {
-    Status status = Status::OK();
-    std::shared_ptr<const automata::Buchi> ba;
-    Bitset query_events;
-    std::vector<size_t> candidates;
+  // 1. Per query: LTL → BA through the shared translation cache (charged to
+  // the query, §7.3), then its candidates at `clock`. One translator uses
+  // the caller's factory: the automaton built for a formula depends on the
+  // factory it is built in. Parallel ones take strided queries and their
+  // own factories; formulas are immutable, so any thread may read them.
+  const size_t translators = std::min(threads, n);
+  std::vector<Status> translated(n);
+  auto prepare = [&](size_t q, ltl::FormulaFactory* into) -> Status {
+    Plan& plan = plans[q];
+    QueryStats& stats = results[q].stats;
+    stats.database_size = visible;
+    Timer phase;
+    CTDB_ASSIGN_OR_RETURN(
+        plan.ba, translate::LtlToBuchiCached(
+                     formulas[q], into, translation_cache_.get(),
+                     options_.translate, nullptr, &stats.translate_cache_hit));
+    stats.translate_ms = phase.ElapsedMillis();
+    stats.query_states = plan.ba->StateCount();
+    stats.query_transitions = plan.ba->TransitionCount();
+    phase.Reset();
+    plan.candidates = Candidates(*plan.ba, clock, options);
+    stats.prefilter_ms = phase.ElapsedMillis();
+    stats.candidates = plan.candidates.size();
+    plan.events = plan.ba->CitedEvents();
+    plan.verdicts.resize(plan.candidates.size());
+    return Status::OK();
   };
-  std::vector<Prep> preps(queries.size());
-  const size_t prep_workers = threads;
-  {
-    CTDB_OBS_SPAN(prep_span, "query_batch.prep");
-    CTDB_RETURN_NOT_OK(pool->ParallelFor(0, prep_workers, [&](size_t t)
-                                             -> Status {
-      ltl::FormulaFactory local_factory;
-      for (size_t i = t; i < queries.size(); i += prep_workers) {
-        Prep& prep = preps[i];
-        QueryStats& stats = results[i].stats;
-        stats.database_size = live_count_;
-        Timer phase;
-        auto parsed = ltl::Parse(queries[i], &local_factory, *vocab_);
-        if (!parsed.ok()) {
-          prep.status = parsed.status();
-          continue;
-        }
-        bool cache_hit = false;
-        auto ba = translate::LtlToBuchiCached(*parsed, &local_factory,
-                                              translation_cache_.get(),
-                                              options_.translate, nullptr,
-                                              &cache_hit);
-        if (!ba.ok()) {
-          prep.status = ba.status();
-          continue;
-        }
-        prep.ba = std::move(*ba);
-        stats.translate_ms = phase.ElapsedMillis();
-        stats.translate_cache_hit = cache_hit;
-        stats.query_states = prep.ba->StateCount();
-        stats.query_transitions = prep.ba->TransitionCount();
+  CTDB_RETURN_NOT_OK(ForEachWorker(pool, translators, [&](size_t w) {
+    std::optional<ltl::FormulaFactory> own;
+    ltl::FormulaFactory* into = translators > 1 ? &own.emplace() : factory;
+    for (size_t q = w; q < n; q += translators) {
+      translated[q] = prepare(q, into);
+    }
+    return Status::OK();
+  }));
+  for (const Status& status : translated) CTDB_RETURN_NOT_OK(status);
 
-        phase.Reset();
-        prep.candidates = Prefilter(*prep.ba, options).candidates.ToVector();
-        stats.prefilter_ms = phase.ElapsedMillis();
-        stats.candidates = prep.candidates.size();
-        prep.query_events = prep.ba->CitedEvents();
+  // 2. Permission checks (§3.1 / §5.2). Worker w owns the contracts at
+  // positions ≡ w (mod workers) in the sorted union of every query's
+  // candidate ids. For one query that is a strided split of its
+  // candidates; in a batch each contract, and so its lazy quotient cache,
+  // stays on one worker across all the queries that select it.
+  std::vector<uint32_t> ids;
+  for (const Plan& plan : plans) {
+    for (const Contract* c : plan.candidates) ids.push_back(c->id);
+  }
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  const size_t workers = std::min(threads, std::max<size_t>(ids.size(), 1));
+  const bool use_projection =
+      options.use_projections && options_.build_projections;
+  {
+    CTDB_OBS_SPAN(span, permission_span);
+    CTDB_RETURN_NOT_OK(ForEachWorker(pool, workers, [&](size_t w) {
+      for (Plan& plan : plans) {
+        for (size_t i = 0; i < plan.candidates.size(); ++i) {
+          const Contract& contract = *plan.candidates[i];
+          const size_t position =
+              std::lower_bound(ids.begin(), ids.end(), contract.id) -
+              ids.begin();
+          if (position % workers != w) continue;
+          Verdict& verdict = plan.verdicts[i];
+          Timer timer;
+          // Seed states were computed on the registered automaton; a
+          // quotient has different state ids, so they go with the former.
+          const automata::Buchi& contract_ba =
+              use_projection
+                  ? contract.projections.ForQueryEvents(plan.events)
+                  : contract.automaton();
+          verdict.permits = core::Permits(
+              contract_ba, contract.events, *plan.ba, options.permission,
+              use_projection ? nullptr : &contract.seed_states,
+              &verdict.stats);
+          if (verdict.permits && options.collect_witnesses) {
+            // Witnesses come from the *registered* automaton: a projection's
+            // labels are projected, so its runs are not contract behavior.
+            auto witness = core::FindWitness(contract.automaton(),
+                                             contract.events, *plan.ba);
+            if (witness.has_value()) verdict.witness = std::move(*witness);
+          }
+          verdict.ms = timer.ElapsedMillis();
+        }
       }
       return Status::OK();
     }));
-    for (const Prep& prep : preps) {
-      CTDB_RETURN_NOT_OK(prep.status);
-    }
   }
 
-  // Phase 3 (parallel across contract shards): permission checks for the
-  // whole batch. Sharding is by contract id — shard s owns the contracts
-  // with id ≡ s (mod shards) for *every* query — so each contract's lazy
-  // quotient cache is touched by exactly one shard (the same invariant the
-  // single-query strided partition provides) while being shared across all
-  // queries of the batch.
-  const size_t shards = threads;
-  struct ShardOut {
-    std::vector<uint32_t> matches;
-    std::vector<LassoWord> witnesses;
-    core::PermissionStats stats;
-    double elapsed_ms = 0;
-  };
-  std::vector<ShardOut> out(queries.size() * shards);
-  {
-    CTDB_OBS_SPAN(perm_span, "query_batch.permission");
-    CTDB_OBS_SPAN_ATTR(perm_span, "shards", shards);
-    CTDB_RETURN_NOT_OK(pool->ParallelFor(0, shards, [&](size_t s) -> Status {
-      for (size_t q = 0; q < queries.size(); ++q) {
-        ShardOut& shard = out[q * shards + s];
-        Timer timer;
-        for (size_t idx : preps[q].candidates) {
-          if (idx % shards != s) continue;
-          CheckCandidate(*contracts_[idx], *preps[q].ba, preps[q].query_events,
-                         options, &shard.matches, &shard.witnesses,
-                         &shard.stats);
-        }
-        shard.elapsed_ms = timer.ElapsedMillis();
-      }
-      return Status::OK();
-    }));
-  }
-
-  // Phase 4 (serial): merge each query's shards, sorted by contract id.
-  CTDB_OBS_SPAN(merge_span, "query_batch.merge");
-  for (size_t q = 0; q < queries.size(); ++q) {
+  // 3. Merge by contract id: candidates are sorted by id, so walking them
+  // in order lists each query's matches, and witnesses, sorted.
+  for (size_t q = 0; q < n; ++q) {
+    Plan& plan = plans[q];
     QueryResult& result = results[q];
-    std::vector<std::pair<uint32_t, LassoWord>> merged;
-    for (size_t s = 0; s < shards; ++s) {
-      ShardOut& shard = out[q * shards + s];
-      for (size_t i = 0; i < shard.matches.size(); ++i) {
-        merged.emplace_back(shard.matches[i],
-                            options.collect_witnesses
-                                ? std::move(shard.witnesses[i])
-                                : LassoWord{});
-      }
-      result.stats.permission.MergeFrom(shard.stats);
-      result.stats.permission_ms += shard.elapsed_ms;
-    }
-    std::sort(merged.begin(), merged.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (auto& [id, witness] : merged) {
-      result.matches.push_back(id);
+    QueryStats& stats = result.stats;
+    for (size_t i = 0; i < plan.candidates.size(); ++i) {
+      Verdict& verdict = plan.verdicts[i];
+      stats.permission.MergeFrom(verdict.stats);
+      stats.permission_ms += verdict.ms;
+      if (!verdict.permits) continue;
+      result.matches.push_back(plan.candidates[i]->id);
       if (options.collect_witnesses) {
-        result.witnesses.push_back(std::move(witness));
+        result.witnesses.push_back(std::move(verdict.witness));
       }
     }
-    result.stats.matches = result.matches.size();
-    result.stats.total_ms = result.stats.translate_ms +
-                            result.stats.prefilter_ms +
-                            result.stats.permission_ms;
-    RecordQueryStats(result.stats);
+    stats.matches = result.matches.size();
+    stats.total_ms = stats.translate_ms + stats.prefilter_ms +
+                     stats.permission_ms;
+    RecordQueryStats(stats);
   }
   return results;
+}
+
+std::vector<const Contract*> DatabaseSnapshot::Candidates(
+    const automata::Buchi& query_ba, uint64_t clock,
+    const QueryOptions& options) const {
+  CTDB_OBS_SPAN(span, "query.prefilter");
+  // Live versions: the pruning condition evaluated over the index (§4), or
+  // all of them with the prefilter off. Dead contracts are scrubbed from
+  // the index by Unregister/Replace, but the live mask is ANDed in anyway —
+  // exactness must not hinge on index hygiene.
+  [[maybe_unused]] size_t condition_size = 0;
+  bool overflowed = false;
+  Bitset live;
+  if (options.use_prefilter && options_.build_prefilter) {
+    const index::Condition condition =
+        index::ExtractPruningCondition(query_ba, options.pruning, &overflowed);
+    condition_size = condition.Size();
+    live = condition.Evaluate(prefilter_);
+    live.Resize(contracts_.size());
+    live &= live_;
+  } else {
+    live = live_;
+  }
+  // A live version's index entry holds at every clock since its valid_from.
+  std::vector<const Contract*> candidates;
+  for (size_t id : live.Indices()) {
+    if (contracts_[id]->valid_from <= clock) {
+      candidates.push_back(contracts_[id].get());
+    }
+  }
+  // History is never indexed, so every version visible at `clock` is
+  // checked in full. At the latest clock none is.
+  for (const ContractVersion& v : history_->versions()) {
+    if (v.VisibleAt(clock)) candidates.push_back(v.contract.get());
+  }
+  std::sort(candidates.begin(), candidates.end(), ById);
+  CTDB_OBS_SPAN_ATTR(span, "candidates", candidates.size());
+  CTDB_OBS_SPAN_ATTR(span, "condition_size", condition_size);
+  CTDB_OBS_SPAN_ATTR(span, "overflow", overflowed);
+  return candidates;
+}
+
+std::vector<const Contract*> DatabaseSnapshot::VisibleAt(uint64_t seq) const {
+  // At any clock a contract id has at most one visible version: live
+  // versions are open-ended ([valid_from, ∞)) and historical periods of the
+  // same id are disjoint (each Replace closes the old period exactly where
+  // the new one opens).
+  std::vector<const Contract*> visible;
+  for (const auto& c : contracts_) {
+    if (c != nullptr && c->valid_from <= seq) visible.push_back(c.get());
+  }
+  for (const ContractVersion& v : history_->versions()) {
+    if (v.VisibleAt(seq)) visible.push_back(v.contract.get());
+  }
+  std::sort(visible.begin(), visible.end(), ById);
+  return visible;
 }
 
 size_t DatabaseSnapshot::ContractMemoryUsage() const {

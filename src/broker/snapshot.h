@@ -130,9 +130,9 @@ struct QueryOptions {
   /// sentinel is unambiguous. A value at or above the snapshot's clock is
   /// clamped to "latest"; a value below the retention floor is
   /// InvalidArgument (history there has been discarded, an exact answer is
-  /// impossible). Historical evaluation scans every visible version — the
-  /// prefilter indexes only live contracts — so exactness, not speed, is
-  /// the contract here.
+  /// impossible). The prefilter prunes the live versions visible at the
+  /// clock as it does for a latest query; superseded versions are not
+  /// indexed, so each one visible at the clock gets a full check.
   uint64_t as_of = 0;
 };
 
@@ -180,21 +180,13 @@ class DatabaseSnapshot {
   /// witnesses) to what Query would return for that text. Batching amortizes
   /// executor dispatch across the whole batch and shares each contract's
   /// lazy quotient cache across all queries: with `threads` > 1 the
-  /// translate/prefilter phase parallelizes across queries (each worker
-  /// parses into a thread-local factory) and the permission phase shards the
-  /// (query, candidate) pairs *by contract id*, so every contract — and thus
-  /// its quotient cache — is touched by exactly one worker while being
-  /// reused across all queries that prefilter to it. On any parse error, no
-  /// query is evaluated.
+  /// translate/prefilter phase parallelizes across queries and the
+  /// permission phase gives each contract to one worker for every query
+  /// that selects it (see Run). On any parse error, no query is evaluated.
   ///
-  /// Per-query stats are filled as in Query, except that in parallel mode
-  /// `permission_ms` is the CPU time spent on that query's checks (summed
-  /// across shards) and `total_ms` the sum of the per-phase times. In both
-  /// modes the invariant `total_ms >= translate_ms + prefilter_ms` holds:
-  /// serial total is the wall clock enclosing all three phases, parallel
-  /// total is exactly translate + prefilter + the summed permission CPU time
-  /// (so it can exceed the batch's wall clock, but never undercuts the two
-  /// serial phases). Guarded by a regression test in query_batch_test.
+  /// Per-query stats are filled as in Query: `permission_ms` is the summed
+  /// time of that query's checks, so with `threads` > 1 it, and `total_ms`
+  /// (translate + prefilter + permission), can exceed the wall clock.
   Result<std::vector<QueryResult>> QueryBatch(
       const std::vector<std::string>& queries, const QueryOptions& options = {},
       util::ThreadPool* pool = nullptr) const;
@@ -261,37 +253,28 @@ class DatabaseSnapshot {
   /// clamped to 1 when `pool` is null.
   size_t ResolveThreads(size_t requested, const util::ThreadPool* pool) const;
 
-  /// The query engine shared by Query/QueryFormula/QueryBatch-serial:
-  /// translate (into `factory`) → prefilter → permission checks.
-  Result<QueryResult> RunQuery(const ltl::Formula* query,
-                               ltl::FormulaFactory* factory,
-                               const QueryOptions& options,
-                               util::ThreadPool* pool) const;
+  /// Query and QueryFormula: `query` as a batch of one, translated into
+  /// `factory`, under a "query" span.
+  Result<QueryResult> RunOne(const ltl::Formula* query,
+                             ltl::FormulaFactory* factory,
+                             const QueryOptions& options,
+                             util::ThreadPool* pool) const;
 
-  /// The prefilter stage (§4): the live contracts inside the query's
-  /// pruning-condition candidate set, or every live contract when the
-  /// prefilter is off (condition_size 0).
-  struct Prefiltered {
-    Bitset candidates;
-    size_t condition_size = 0;  ///< nodes in the evaluated condition
-    bool overflowed = false;    ///< the condition hit the cap, became TRUE
-  };
-  Prefiltered Prefilter(const automata::Buchi& query_ba,
-                        const QueryOptions& options) const;
+  /// The query engine behind Query, QueryFormula and QueryBatch (DESIGN.md
+  /// §6): per query translate (into `factory` when one thread translates)
+  /// → Candidates, one permission phase over all queries' candidates (under
+  /// a span named `permission_span`), one merge by contract id.
+  Result<std::vector<QueryResult>> Run(
+      const std::vector<const ltl::Formula*>& formulas,
+      ltl::FormulaFactory* factory, const QueryOptions& options,
+      util::ThreadPool* pool, const char* permission_span) const;
 
-  /// Runs one permission check; appends to the given output buffers.
-  void CheckCandidate(const Contract& contract,
-                      const automata::Buchi& query_ba,
-                      const Bitset& query_events, const QueryOptions& options,
-                      std::vector<uint32_t>* matches,
-                      std::vector<LassoWord>* witnesses,
-                      core::PermissionStats* stats) const;
-
-  /// The historical-query engine behind RunQuery when options.as_of names a
-  /// clock before this snapshot's: full scan over VisibleAt(as_of).
-  Result<QueryResult> RunQueryAsOf(const automata::Buchi& query_ba,
-                                   const QueryOptions& options,
-                                   QueryResult result, Timer* total) const;
+  /// The versions visible at `clock` that the query's pruning condition
+  /// keeps (§4), sorted by id: live versions from the index, every
+  /// visible history version (history is not indexed).
+  std::vector<const Contract*> Candidates(const automata::Buchi& query_ba,
+                                          uint64_t clock,
+                                          const QueryOptions& options) const;
 
   DatabaseOptions options_;
   std::shared_ptr<const Vocabulary> vocab_ = std::make_shared<Vocabulary>();

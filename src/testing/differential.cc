@@ -497,13 +497,41 @@ bool LifecycleIteration::ProbeTick(uint64_t tick,
     }
   }
 
-  for (const std::string& q : queries_) {
+  // The same queries as one parallel batch: each answer must equal the
+  // single as-of answer below, witnesses included.
+  broker::QueryOptions batched;
+  batched.as_of = tick;
+  batched.collect_witnesses = true;
+  batched.threads = 4;
+  auto batch = db_->QueryBatch(queries_, batched);
+  if (!batch.ok()) {
+    Report("as-of-batch", "QueryBatch failed: " + batch.status().ToString());
+    return false;
+  }
+
+  for (size_t i = 0; i < queries_.size(); ++i) {
+    const std::string& q = queries_[i];
     broker::QueryOptions as_of;
     as_of.as_of = tick;
     as_of.collect_witnesses = true;
     auto r = db_->Query(q, as_of);
     if (!r.ok()) {
       Report("as-of-vs-prefix", "QueryAsOf failed: " + r.status().ToString());
+      return false;
+    }
+    const broker::QueryResult& b = (*batch)[i];
+    auto same_word = [](const LassoWord& x, const LassoWord& y) {
+      return x.prefix == y.prefix && x.cycle == y.cycle;
+    };
+    ++report_->checks;
+    if (b.matches != r->matches ||
+        !std::equal(b.witnesses.begin(), b.witnesses.end(),
+                    r->witnesses.begin(), r->witnesses.end(), same_word)) {
+      Report("as-of-batch",
+             StringFormat("tick %llu query '%s': batch %s vs single %s",
+                          static_cast<unsigned long long>(tick), q.c_str(),
+                          RenderMatches(b.matches).c_str(),
+                          RenderMatches(r->matches).c_str()));
       return false;
     }
     auto f = fresh.Query(q);

@@ -108,6 +108,9 @@ struct LifecycleDiffOptions {
 ///                       through the model)
 ///   as-of-witnesses     every as-of match carries a witness satisfying
 ///                       the query formula
+///   as-of-batch         the sampled queries as one QueryAsOf batch on 4
+///                       threads answer as the single queries, witnesses
+///                       included
 ///   lifecycle-persist   save → load of the evolved database preserves
 ///                       every sampled QueryAsOf answer
 DiffReport RunLifecycleDifferential(const LifecycleDiffOptions& options);

@@ -339,10 +339,12 @@ TEST_F(DatabaseTest, InternEventPublishesImmediately) {
 
   auto id = db.InternEvent("q");
   ASSERT_TRUE(id.ok());
-  // Idempotent: re-interning returns the same id.
+  // Idempotent: re-interning returns the same id and publishes nothing.
+  const std::shared_ptr<const DatabaseSnapshot> interned = db.Snapshot();
   auto again = db.InternEvent("q");
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(*id, *again);
+  EXPECT_EQ(interned.get(), db.Snapshot().get());
 
   // The new snapshot can cite q; the old one still cannot.
   const QueryResult r = MustQuery(&db, "F q");

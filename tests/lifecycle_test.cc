@@ -102,6 +102,66 @@ TEST(LifecycleTest, QueryAsOfSeesEveryHistoricalState) {
   EXPECT_EQ(Matches(db, "F pay", 99), (std::vector<uint32_t>{}));
 }
 
+// As-of queries use the prefilter for the versions still live and check
+// only history in full. At every clock from the last registration on, the
+// answer (matches and witnesses) must equal a fresh database holding exactly
+// the versions visible then, while unchanged versions are pruned.
+TEST(LifecycleTest, AsOfPrunesUnchangedVersionsAndStaysExact) {
+  std::vector<std::string> specs = {
+      "G(pay -> F ship)", "F pay",        "G(order -> F ship)",
+      "F ship",           "G !pay",       "G(order -> F pay)",
+      "F refund",         "G(refund -> X ship)"};
+  ContractDatabase db;
+  for (size_t i = 0; i < specs.size(); ++i) {
+    ASSERT_TRUE(db.Register("c" + std::to_string(i), specs[i]).ok());
+  }
+  // The spec of every id at each clock; "" marks an unregistered id.
+  std::vector<std::pair<uint64_t, std::vector<std::string>>> timeline = {
+      {db.last_sequence(), specs}};
+  ASSERT_TRUE(db.Replace(0, specs[0] = "G !pay").ok());
+  timeline.emplace_back(db.last_sequence(), specs);
+  ASSERT_TRUE(db.Unregister(3).ok());
+  specs[3].clear();
+  timeline.emplace_back(db.last_sequence(), specs);
+  ASSERT_TRUE(db.Replace(5, specs[5] = "G(order -> F ship)").ok());
+  timeline.emplace_back(db.last_sequence(), specs);
+
+  for (const auto& [clock, visible] : timeline) {
+    // Same vocabulary first, so event ids (and thus witnesses) line up.
+    ContractDatabase fresh;
+    for (const std::string& name : db.Snapshot()->vocabulary().names()) {
+      ASSERT_TRUE(fresh.InternEvent(name).ok());
+    }
+    std::vector<uint32_t> ids;  // fresh id → id in `db`
+    for (uint32_t id = 0; id < visible.size(); ++id) {
+      if (visible[id].empty()) continue;
+      ASSERT_TRUE(fresh.Register("c" + std::to_string(id), visible[id]).ok());
+      ids.push_back(id);
+    }
+    for (const char* q : {"F pay", "F ship", "F refund", "F(order & F pay)"}) {
+      QueryOptions options;
+      options.collect_witnesses = true;
+      auto want = fresh.Query(q, options);
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      options.as_of = clock;
+      auto past = db.Query(q, options);
+      ASSERT_TRUE(past.ok()) << past.status().ToString();
+
+      std::vector<uint32_t> expected;
+      for (uint32_t m : want->matches) expected.push_back(ids[m]);
+      EXPECT_EQ(past->matches, expected) << q << " as of " << clock;
+      ASSERT_EQ(past->witnesses.size(), want->witnesses.size());
+      for (size_t w = 0; w < past->witnesses.size(); ++w) {
+        EXPECT_EQ(past->witnesses[w].prefix, want->witnesses[w].prefix) << q;
+        EXPECT_EQ(past->witnesses[w].cycle, want->witnesses[w].cycle) << q;
+      }
+      EXPECT_EQ(past->stats.database_size, ids.size()) << q;
+      EXPECT_LT(past->stats.candidates, past->stats.database_size)
+          << q << " as of " << clock;
+    }
+  }
+}
+
 TEST(LifecycleTest, AsOfBelowPrunedFloorIsInvalidArgument) {
   ContractDatabase db;
   ASSERT_TRUE(db.Register("a", "F pay").ok());   // clock 1

@@ -137,6 +137,54 @@ TEST_F(QueryBatchTest, BatchUnoptimizedScanAgreesWithOptimized) {
   }
 }
 
+TEST_F(QueryBatchTest, AsOfBatchMatchesQuerySerialOverHistory) {
+  // History: replace every third contract, then, past `mid`, unregister
+  // every fifth and replace one more.
+  ContractDatabase& db = *workload_.db;
+  workload::GeneratorOptions gen;
+  gen.vocabulary_size = 12;
+  gen.properties = 2;
+  workload::SpecGenerator specs(gen, 0xA50F, db.vocabulary(), db.factory());
+  auto replace = [&](uint32_t id) {
+    auto spec = specs.Next();
+    ASSERT_TRUE(spec.ok()) << spec.status();
+    ASSERT_TRUE(db.Replace(id, spec->text).ok());
+  };
+  for (uint32_t id = 0; id < 18; id += 3) replace(id);
+  const uint64_t mid = db.last_sequence();
+  for (uint32_t id = 1; id < 18; id += 5) ASSERT_TRUE(db.Unregister(id).ok());
+  replace(2);
+  if (HasFatalFailure()) return;
+
+  for (const uint64_t as_of : {uint64_t{6}, mid, uint64_t{0}}) {
+    QueryOptions serial;
+    serial.as_of = as_of;
+    serial.collect_witnesses = true;
+    const std::vector<QueryResult> want = SerialResults(serial);
+    for (const size_t threads : {size_t{1}, size_t{4}}) {
+      QueryOptions options = serial;
+      options.threads = threads;
+      auto batch = db.QueryBatch(workload_.queries, options);
+      ASSERT_TRUE(batch.ok()) << batch.status();
+      ASSERT_EQ(batch->size(), want.size());
+      for (size_t i = 0; i < want.size(); ++i) {
+        const QueryResult& got = (*batch)[i];
+        const std::string where = workload_.queries[i] +
+                                  " as_of=" + std::to_string(as_of) +
+                                  " threads=" + std::to_string(threads);
+        EXPECT_EQ(got.matches, want[i].matches) << where;
+        ASSERT_EQ(got.witnesses.size(), want[i].witnesses.size()) << where;
+        for (size_t w = 0; w < got.witnesses.size(); ++w) {
+          EXPECT_EQ(got.witnesses[w].prefix, want[i].witnesses[w].prefix)
+              << where;
+          EXPECT_EQ(got.witnesses[w].cycle, want[i].witnesses[w].cycle)
+              << where;
+        }
+      }
+    }
+  }
+}
+
 TEST_F(QueryBatchTest, BatchWitnessesAreRealPermittedBehaviors) {
   QueryOptions options;
   options.threads = 4;

@@ -6,8 +6,9 @@
 // vs. an independent product-automaton reference checker, and metamorphic
 // LTL rewrites. With --lifecycle it instead fuzzes the contract lifecycle:
 // random Register / Unregister / Replace streams whose QueryAsOf(s) answers
-// are cross-checked against fresh databases built from the prefix at s
-// (testing/differential.h, RunLifecycleDifferential). With --monitor it
+// are cross-checked against fresh databases built from the prefix at s and
+// against the same queries as one parallel batch (testing/differential.h,
+// RunLifecycleDifferential). With --monitor it
 // fuzzes the streaming compliance monitor: random event-pattern contracts
 // driven over random traces, incremental stepper verdicts cross-checked
 // against a naive set-based recomputation, batched vs. single appends,
