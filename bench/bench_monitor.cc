@@ -1,6 +1,7 @@
 // Streaming-monitor benchmarks (DESIGN.md §15): what incremental automaton
-// stepping costs per appended event, and what the two layers of batching
-// buy. Four questions on one generated universe of event-pattern contracts:
+// stepping costs per appended event, what the two layers of batching buy,
+// and what opening a stream costs. Four questions on one generated universe
+// of event-pattern contracts:
 //
 //  * headline throughput — BM_StreamAppend_Matched drives batches drawn
 //    from the contracts' own vocabulary through a monitor session
@@ -12,12 +13,16 @@
 //  * alphabet pruning — BM_StreamAppend_Mismatched streams events from a
 //    vocabulary no contract cites with pruning on vs. off; the `stepped`
 //    and `pruned` counters show the per-contract work collapsing to the
-//    silent fixpoint, and the time ratio is the pruning speedup.
+//    silent fixpoint, and the time ratio is the pruning speedup;
+//  * open cost — BM_StreamOpen opens and destroys a session over every
+//    contract once their shared monitors are built (items/sec =
+//    sessions/sec).
 //
-// Sessions are reopened outside the timed region every iteration so every
-// measurement starts from the initial state set — a long-lived session
-// freezes most contracts (violated is absorbing) and would mostly measure
-// the frozen skip.
+// The append benches open a fresh session and destroy the last one outside
+// the timed region every iteration, so every measurement starts from the
+// initial state set — a long-lived session freezes most contracts
+// (violated is absorbing) and would mostly measure the frozen skip — and
+// prices stepping alone.
 
 #include <benchmark/benchmark.h>
 
@@ -25,6 +30,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/run.h"
@@ -87,14 +93,17 @@ void RunSession(benchmark::State& state,
   options.prune = prune;
   uint64_t stepped = 0, pruned = 0;
   size_t i = 0;
+  std::unique_ptr<monitor::StreamSession> session;
   for (auto _ : state) {
     state.PauseTiming();
-    auto session = monitor::StreamSession::Open(f->snapshot, options);
-    if (!session.ok()) abort();
+    session.reset();
+    auto opened = monitor::StreamSession::Open(f->snapshot, options);
+    if (!opened.ok()) abort();
+    session = std::move(*opened);
     state.ResumeTiming();
     for (size_t b = 0; b < kBatchesPerIter; ++b) {
       const monitor::StreamAppendResult r =
-          (*session)->Append(batches[i++ % kBatchPool]);
+          session->Append(batches[i++ % kBatchPool]);
       stepped += r.stepped;
       pruned += r.pruned;
       benchmark::DoNotOptimize(r.deltas.data());
@@ -210,9 +219,10 @@ void BM_StreamAppend_Naive(benchmark::State& state) {
   }
 
   size_t i = 0;
+  std::vector<NaiveStepper> steppers;
   for (auto _ : state) {
     state.PauseTiming();
-    std::vector<NaiveStepper> steppers;
+    steppers.clear();
     for (const broker::Contract* c : contracts) steppers.emplace_back(c);
     state.ResumeTiming();
     for (size_t b = 0; b < kBatchesPerIter; ++b) {
@@ -230,5 +240,20 @@ void BM_StreamAppend_Naive(benchmark::State& state) {
   state.counters["tracked"] = static_cast<double>(contracts.size());
 }
 BENCHMARK(BM_StreamAppend_Naive);
+
+/// Open and destroy a session pinning every contract, after one untimed
+/// open has built their shared monitors.
+void BM_StreamOpen(benchmark::State& state) {
+  MonitorFixture* f = GetFixture();
+  if (!monitor::StreamSession::Open(f->snapshot, {}).ok()) abort();
+  for (auto _ : state) {
+    auto session = monitor::StreamSession::Open(f->snapshot, {});
+    if (!session.ok()) abort();
+    benchmark::DoNotOptimize(session->get());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+  state.counters["tracked"] = static_cast<double>(f->snapshot->size());
+}
+BENCHMARK(BM_StreamOpen);
 
 }  // namespace

@@ -3,11 +3,17 @@
 
 #pragma once
 
+#include <memory>
+#include <mutex>
 #include <string>
 
 #include "automata/buchi.h"
 #include "projection/store.h"
 #include "util/bitset.h"
+
+namespace ctdb::monitor {
+class ContractMonitor;
+}
 
 namespace ctdb::broker {
 
@@ -35,6 +41,16 @@ struct Contract {
   projection::ContractProjections projections;
 
   const automata::Buchi& automaton() const { return projections.original(); }
+
+ private:
+  friend class monitor::ContractMonitor;
+
+  /// This version's stream-monitor tables (DESIGN.md §15): built by the
+  /// first stream open that pins the version (monitor::ContractMonitor::Of,
+  /// once under `monitor_once_`), never at registration, then shared
+  /// read-only by every session.
+  mutable std::once_flag monitor_once_;
+  mutable std::shared_ptr<const monitor::ContractMonitor> monitor_;
 };
 
 }  // namespace ctdb::broker

@@ -7,8 +7,9 @@ namespace ctdb::broker {
 
 namespace {
 
-/// Millisecond (double) phase time → whole microseconds for the histograms.
-uint64_t MillisToMicros(double ms) {
+/// Millisecond (double) phase time → whole microseconds for the histograms
+/// (unused when CTDB_OBS=OFF compiles them out).
+[[maybe_unused]] uint64_t MillisToMicros(double ms) {
   return ms <= 0 ? 0 : static_cast<uint64_t>(ms * 1e3);
 }
 
@@ -32,7 +33,7 @@ void RecordQueryStats(const QueryStats& stats) {
   }
 }
 
-void RecordRegistrationStats(const RegistrationStats& stats) {
+void RecordRegistrationStats([[maybe_unused]] const RegistrationStats& stats) {
   CTDB_OBS_COUNT("broker.registrations", 1);
   CTDB_OBS_HIST("broker.register.translate_us",
                 MillisToMicros(stats.translate_ms));

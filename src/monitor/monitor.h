@@ -11,8 +11,10 @@
 //
 // Observability: monitor.streams.opened / monitor.streams.closed /
 // monitor.streams.open (gauge), monitor.events, monitor.verdicts (deltas
-// emitted), monitor.stepped / monitor.pruned (contract×event step counters)
-// and the monitor.append span with per-batch timing.
+// emitted), monitor.stepped / monitor.pruned (contract×event step counters),
+// monitor.builds (contract versions whose monitor an open built), the
+// monitor.open span with a monitor.build child per such version, and the
+// monitor.append span with per-batch timing.
 
 #pragma once
 

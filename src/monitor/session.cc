@@ -1,5 +1,6 @@
 #include "monitor/session.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace ctdb::monitor {
@@ -38,10 +39,14 @@ StreamSession::StreamSession(
     : snapshot_(std::move(snapshot)), options_(options), clock_(clock) {
   steppers_.reserve(contracts.size());
   reported_.reserve(contracts.size());
+  size_t labels = 0;
   for (const broker::Contract* c : contracts) {
-    steppers_.emplace_back(c);
+    const ContractMonitor& monitor = ContractMonitor::Of(*c);
+    labels = std::max(labels, monitor.label_count());
+    steppers_.emplace_back(monitor);
     reported_.push_back(steppers_.back().verdict());
   }
+  scratch_.enabled.resize(labels);
 }
 
 StreamAppendResult StreamSession::Append(const EventBatch& events) {
@@ -72,11 +77,11 @@ StreamAppendResult StreamSession::Append(const EventBatch& events) {
       result.pruned += count;
     } else if (options_.prune &&
                alphabet.DisjointWith(stepper.cited_events())) {
-      const uint64_t executed = stepper.StepSilent(count);
+      const uint64_t executed = stepper.StepSilent(count, &scratch_);
       result.stepped += executed;
       result.pruned += count - executed;
     } else {
-      for (const Snapshot& s : batch) stepper.Step(s);
+      for (const Snapshot& s : batch) stepper.Step(s, &scratch_);
       result.stepped += count;
     }
     if (stepper.verdict() != reported_[i]) {

@@ -1,5 +1,7 @@
 // One open event stream: a pinned database snapshot plus the incremental
-// stepper of every contract visible at the pin (DESIGN.md §15).
+// stepper of every contract visible at the pin (DESIGN.md §15). Each stepper
+// walks its contract version's shared ContractMonitor, built by the first
+// open that pins the version, so a later open only allocates the steppers.
 //
 // Snapshot isolation. Opening a session captures a DatabaseSnapshot and a
 // system-period clock: `as_of` = 0 pins the latest state at open, any other
@@ -36,8 +38,10 @@ namespace ctdb::monitor {
 class StreamSession {
  public:
   /// Pins `snapshot` at `options.as_of` (0 = the snapshot's latest clock)
-  /// and builds a stepper per visible contract version. InvalidArgument
-  /// when `as_of` is below the snapshot's history retention floor.
+  /// and starts a stepper per visible contract version on the version's
+  /// monitor (built here if no earlier open pinned the version).
+  /// InvalidArgument when `as_of` is below the snapshot's history retention
+  /// floor.
   static Result<std::unique_ptr<StreamSession>> Open(
       std::shared_ptr<const broker::DatabaseSnapshot> snapshot,
       const StreamOptions& options);
@@ -60,6 +64,12 @@ class StreamSession {
   uint64_t clock() const { return clock_; }
   size_t tracked() const { return steppers_.size(); }
 
+  /// The shared monitor the i-th tracked contract (ascending id) steps
+  /// (tests / diagnostics).
+  const ContractMonitor& monitor(size_t i) const {
+    return steppers_[i].monitor();
+  }
+
  private:
   StreamSession(std::shared_ptr<const broker::DatabaseSnapshot> snapshot,
                 const StreamOptions& options, uint64_t clock,
@@ -74,6 +84,7 @@ class StreamSession {
   std::vector<ContractStepper> steppers_;
   /// Verdict last reported per stepper (deltas are changes against this).
   std::vector<StreamVerdict> reported_;
+  StepScratch scratch_;
   uint64_t events_ = 0;
 };
 

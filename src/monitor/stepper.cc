@@ -1,8 +1,13 @@
 #include "monitor/stepper.h"
 
 #include <algorithm>
+#include <span>
+#include <unordered_map>
+#include <utility>
 
 #include "automata/buchi.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace ctdb::monitor {
 
@@ -18,35 +23,51 @@ const char* StreamVerdictName(StreamVerdict v) {
   return "unknown";
 }
 
-ContractStepper::ContractStepper(const broker::Contract* contract)
-    : contract_(contract) {
-  const automata::Buchi& ba = contract->automaton();
+const ContractMonitor& ContractMonitor::Of(const broker::Contract& contract) {
+  std::call_once(contract.monitor_once_, [&contract] {
+    CTDB_OBS_SPAN(span, "monitor.build");
+    contract.monitor_.reset(new ContractMonitor(contract));
+    CTDB_OBS_SPAN_ATTR(span, "states", contract.monitor_->state_count());
+    CTDB_OBS_SPAN_ATTR(span, "labels", contract.monitor_->label_count());
+    CTDB_OBS_SPAN_ATTR(span, "bytes", contract.monitor_->MemoryUsage());
+    CTDB_OBS_COUNT("monitor.builds", 1);
+  });
+  return *contract.monitor_;
+}
+
+ContractMonitor::ContractMonitor(const broker::Contract& contract)
+    : contract_(&contract) {
+  const automata::Buchi& ba = contract.automaton();
   const size_t states = ba.StateCount();
 
   // Deduplicate labels so each is evaluated once per snapshot no matter how
   // many transitions carry it; pattern automata reuse a handful of labels
-  // across most transitions.
-  trans_.resize(states);
+  // across most transitions. The keys point into the immutable automaton.
+  auto hash = [](const Label* l) { return l->Hash(); };
+  auto equal = [](const Label* a, const Label* b) { return *a == *b; };
+  std::unordered_map<const Label*, uint32_t, decltype(hash), decltype(equal)>
+      index(ba.TransitionCount(), hash, equal);
+  offsets_.reserve(states + 1);
+  edges_.reserve(ba.TransitionCount());
   for (automata::StateId s = 0; s < states; ++s) {
+    offsets_.push_back(static_cast<uint32_t>(edges_.size()));
     for (const automata::Transition& t : ba.Out(s)) {
-      uint32_t label_idx = 0;
-      for (; label_idx < labels_.size(); ++label_idx) {
-        if (labels_[label_idx] == t.label) break;
-      }
-      if (label_idx == labels_.size()) labels_.push_back(t.label);
-      trans_[s].emplace_back(label_idx, t.to);
+      const auto [it, inserted] =
+          index.emplace(&t.label, static_cast<uint32_t>(labels_.size()));
+      if (inserted) labels_.push_back(t.label);
+      edges_.push_back({it->second, t.to});
     }
   }
-  enabled_.resize(labels_.size());
-  silent_enabled_.resize(labels_.size());
+  offsets_.push_back(static_cast<uint32_t>(edges_.size()));
+  silent_.resize(labels_.size());
   for (size_t i = 0; i < labels_.size(); ++i) {
-    silent_enabled_[i] = labels_[i].positive().None() ? 1 : 0;
+    silent_[i] = labels_[i].positive().None() ? 1 : 0;
   }
 
   // live_ = backward closure of the seed states: a state is live iff some
   // accepting cycle remains reachable from it. Non-live states have only
   // non-live successors, which is what makes `violated` absorbing.
-  live_ = contract->seed_states;
+  live_ = contract.seed_states;
   live_.Resize(states);
   const auto predecessors = ba.BuildReverseAdjacency();
   std::vector<automata::StateId> frontier;
@@ -63,59 +84,78 @@ ContractStepper::ContractStepper(const broker::Contract* contract)
     }
   }
 
-  current_.Resize(states);
-  next_.Resize(states);
-  current_.Set(ba.initial());
-  UpdateVerdict();
+  initial_.Resize(states);
+  initial_.Set(ba.initial());
+  initial_verdict_ = VerdictOf(initial_);
 }
 
-void ContractStepper::UpdateVerdict() {
-  if (!current_.DisjointWith(live_)) {
-    verdict_ = current_.DisjointWith(contract_->automaton().finals())
-                   ? StreamVerdict::kUndetermined
-                   : StreamVerdict::kSatisfied;
-  } else {
-    verdict_ = StreamVerdict::kViolated;
-    frozen_ = true;
+size_t ContractMonitor::MemoryUsage() const {
+  size_t bytes = labels_.capacity() * sizeof(Label) +
+                 offsets_.capacity() * sizeof(uint32_t) +
+                 edges_.capacity() * sizeof(Edge) + silent_.capacity() +
+                 live_.MemoryUsage() + initial_.MemoryUsage();
+  for (const Label& label : labels_) {
+    bytes += label.positive().MemoryUsage() + label.negative().MemoryUsage();
   }
+  return bytes;
 }
 
-bool ContractStepper::Advance(const std::vector<uint8_t>& enabled) {
-  next_.ClearAll();
-  for (size_t s : current_.Indices()) {
-    for (const auto& [label_idx, to] : trans_[s]) {
-      if (enabled[label_idx]) next_.Set(to);
+void ContractMonitor::Fold(const Bitset& from, const uint8_t* enabled,
+                           Bitset* next) const {
+  if (next->size() < state_count()) next->Resize(state_count());
+  next->ClearAll();
+  const std::span<const Edge> edges(edges_);
+  for (size_t s : from.Indices()) {
+    for (const Edge& edge :
+         edges.subspan(offsets_[s], offsets_[s + 1] - offsets_[s])) {
+      if (enabled[edge.label]) next->Set(edge.to);
     }
   }
-  if (next_ == current_) return false;
-  std::swap(current_, next_);
+}
+
+StreamVerdict ContractMonitor::VerdictOf(const Bitset& states) const {
+  if (states.DisjointWith(live_)) return StreamVerdict::kViolated;
+  return states.DisjointWith(contract_->automaton().finals())
+             ? StreamVerdict::kUndetermined
+             : StreamVerdict::kSatisfied;
+}
+
+ContractStepper::ContractStepper(const ContractMonitor& monitor)
+    : monitor_(&monitor),
+      current_(monitor.initial_),
+      verdict_(monitor.initial_verdict_) {}
+
+bool ContractStepper::Advance(const uint8_t* enabled, StepScratch* scratch) {
+  monitor_->Fold(current_, enabled, &scratch->next);
+  if (scratch->next == current_) return false;
+  // The scratch keeps this stepper's old buffer; Fold regrows it if the
+  // next stepper has more states.
+  std::swap(current_, scratch->next);
+  verdict_ = monitor_->VerdictOf(current_);
+  silent_stable_ = false;
   return true;
 }
 
-void ContractStepper::Step(const Snapshot& snapshot) {
-  if (frozen_) return;
-  for (size_t i = 0; i < labels_.size(); ++i) {
-    enabled_[i] = Satisfies(snapshot, labels_[i]) ? 1 : 0;
+void ContractStepper::Step(const Snapshot& snapshot, StepScratch* scratch) {
+  if (frozen()) return;
+  const std::vector<Label>& labels = monitor_->labels_;
+  uint8_t* enabled = scratch->enabled.data();
+  for (size_t i = 0; i < labels.size(); ++i) {
+    enabled[i] = Satisfies(snapshot, labels[i]) ? 1 : 0;
   }
-  if (Advance(enabled_)) {
-    silent_stable_ = -1;
-    UpdateVerdict();
-  } else if (enabled_ == silent_enabled_) {
+  if (!Advance(enabled, scratch) &&
+      std::equal(enabled, enabled + labels.size(), monitor_->silent_.begin())) {
     // A full step that happened to be a silent fixpoint application — note
     // the stability so a later silent batch can still be skipped.
-    silent_stable_ = 1;
+    silent_stable_ = true;
   }
 }
 
-uint64_t ContractStepper::StepSilent(uint64_t count) {
+uint64_t ContractStepper::StepSilent(uint64_t count, StepScratch* scratch) {
   uint64_t executed = 0;
-  while (executed < count && !frozen_ && silent_stable_ != 1) {
+  while (executed < count && !frozen() && !silent_stable_) {
     ++executed;
-    if (Advance(silent_enabled_)) {
-      UpdateVerdict();
-    } else {
-      silent_stable_ = 1;
-    }
+    if (!Advance(monitor_->silent_.data(), scratch)) silent_stable_ = true;
   }
   return executed;
 }

@@ -51,7 +51,8 @@ class Iteration {
 
  private:
   void Report(const char* oracle, std::string detail) {
-    report_->mismatches.push_back(DiffMismatch{seed_, oracle, std::move(detail)});
+    report_->mismatches.push_back(
+        DiffMismatch{DiffMode::kPipeline, seed_, oracle, std::move(detail)});
   }
 
   /// One comparison of two match vectors; returns true when they agree.
@@ -370,7 +371,7 @@ class LifecycleIteration {
 
   void Report(const char* oracle, std::string detail) {
     report_->mismatches.push_back(
-        DiffMismatch{seed_, oracle, std::move(detail)});
+        DiffMismatch{DiffMode::kLifecycle, seed_, oracle, std::move(detail)});
   }
 
   bool ProbeTick(uint64_t tick, const std::vector<ModelEntry>& model,
@@ -608,7 +609,7 @@ bool LifecycleIteration::ProbeTick(uint64_t tick,
 /// differential: std::set state sets, a per-event scan of every transition
 /// label, and a forward fixpoint for the live marking — deliberately sharing
 /// no code (bitsets, label dedup, reverse adjacency, freezing, pruning) with
-/// monitor::ContractStepper.
+/// monitor::ContractMonitor and ContractStepper.
 class NaiveStepper {
  public:
   explicit NaiveStepper(const broker::Contract* contract)
@@ -686,7 +687,7 @@ class MonitorIteration {
  private:
   void Report(const char* oracle, std::string detail) {
     report_->mismatches.push_back(
-        DiffMismatch{seed_, oracle, std::move(detail)});
+        DiffMismatch{DiffMode::kMonitor, seed_, oracle, std::move(detail)});
   }
 
   bool CompareVerdicts(const char* oracle, const char* when,
@@ -910,11 +911,14 @@ DiffReport RunMonitorDifferential(const MonitorDiffOptions& options) {
 }
 
 std::string FormatMismatch(const DiffMismatch& m) {
+  const char* flag = m.mode == DiffMode::kLifecycle ? " --lifecycle"
+                     : m.mode == DiffMode::kMonitor ? " --monitor"
+                                                    : "";
   return StringFormat(
-      "oracle=%s seed=%llu: %s (reproduce: ctdb_diff_fuzz --iters=1 "
+      "oracle=%s seed=%llu: %s (reproduce: ctdb_diff_fuzz%s --iters=1 "
       "--seed=%llu)",
       m.oracle.c_str(), static_cast<unsigned long long>(m.seed),
-      m.detail.c_str(), static_cast<unsigned long long>(m.seed));
+      m.detail.c_str(), flag, static_cast<unsigned long long>(m.seed));
 }
 
 }  // namespace ctdb::testing

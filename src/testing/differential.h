@@ -13,8 +13,9 @@
 //   print-parse-roundtrip  Parse(ToString(f)) is f (hash-consed identity)
 //   evaluator-vs-automaton Evaluate(f, w) ⇔ BA(f) accepts w
 //
-// Every mismatch carries the iteration seed; `ctdb_diff_fuzz --iters=1
-// --seed=<seed>` reproduces it. FaultInjection deliberately corrupts one
+// Every mismatch carries its differential and iteration seed;
+// `ctdb_diff_fuzz [--lifecycle|--monitor] --iters=1 --seed=<seed>`
+// reproduces it. FaultInjection deliberately corrupts one
 // side of a chosen oracle so tests can prove the oracle detects real faults.
 
 #pragma once
@@ -61,8 +62,14 @@ struct DiffOptions {
   FaultInjection faults;
 };
 
+/// Which differential a mismatch came from: RunDifferential,
+/// RunLifecycleDifferential or RunMonitorDifferential (ctdb_diff_fuzz with
+/// no mode flag, --lifecycle or --monitor).
+enum class DiffMode { kPipeline, kLifecycle, kMonitor };
+
 /// One detected disagreement.
 struct DiffMismatch {
+  DiffMode mode = DiffMode::kPipeline;
   uint64_t seed = 0;      ///< iteration seed (reproduces with --iters=1)
   std::string oracle;     ///< which cross-check fired
   std::string detail;
@@ -158,7 +165,8 @@ struct MonitorDiffOptions {
 ///                         the observed trace — "no extension satisfies"
 DiffReport RunMonitorDifferential(const MonitorDiffOptions& options);
 
-/// "oracle=<o> seed=<s>: <detail> (reproduce: ctdb_diff_fuzz ...)".
+/// "oracle=<o> seed=<s>: <detail> (reproduce: ctdb_diff_fuzz [--lifecycle |
+/// --monitor] --iters=1 --seed=<s>)", the flag naming `m.mode`.
 std::string FormatMismatch(const DiffMismatch& m);
 
 }  // namespace ctdb::testing

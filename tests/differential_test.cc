@@ -146,5 +146,30 @@ TEST(DifferentialTest, MismatchCarriesReproductionSeed) {
   EXPECT_NE(line.find("--seed="), std::string::npos) << line;
 }
 
+TEST(DifferentialTest, ReproduceCommandNamesTheMode) {
+  auto line = [](DiffMode mode) {
+    return FormatMismatch(DiffMismatch{mode, 5, "as-of-batch", "detail"});
+  };
+  EXPECT_EQ(line(DiffMode::kPipeline),
+            "oracle=as-of-batch seed=5: detail (reproduce: ctdb_diff_fuzz "
+            "--iters=1 --seed=5)");
+  EXPECT_EQ(line(DiffMode::kLifecycle),
+            "oracle=as-of-batch seed=5: detail (reproduce: ctdb_diff_fuzz "
+            "--lifecycle --iters=1 --seed=5)");
+  EXPECT_EQ(line(DiffMode::kMonitor),
+            "oracle=as-of-batch seed=5: detail (reproduce: ctdb_diff_fuzz "
+            "--monitor --iters=1 --seed=5)");
+}
+
+TEST(MonitorDifferentialTest, MismatchCarriesMonitorMode) {
+  MonitorDiffOptions options = SmallMonitorOptions();
+  options.flip_naive = true;
+  const DiffReport report = RunMonitorDifferential(options);
+  ASSERT_FALSE(report.ok());
+  for (const DiffMismatch& m : report.mismatches) {
+    EXPECT_EQ(m.mode, DiffMode::kMonitor) << FormatMismatch(m);
+  }
+}
+
 }  // namespace
 }  // namespace ctdb::testing

@@ -1,7 +1,10 @@
 // Thread-safety suite for the streaming monitor (DESIGN.md §15), run under
 // TSan in CI (the MonitorConcurrency name is in the tsan test_filter).
-// Three contracts under load:
+// Four contracts under load:
 //
+//  * concurrent first opens of one snapshot build each contract version's
+//    shared monitor once and step it to the verdicts a serial session
+//    reaches;
 //  * streams are isolated from the contract lifecycle — a session opened
 //    while Register/Replace/Unregister storm the database keeps exactly
 //    the contract set it pinned at open;
@@ -22,7 +25,10 @@
 #include "broker/database.h"
 #include "broker/durable.h"
 #include "monitor/monitor.h"
+#include "monitor/session.h"
 #include "monitor/types.h"
+#include "obs/metrics.h"
+#include "obs/obs.h"
 #include "testing/temp_dir.h"
 #include "util/rng.h"
 #include "util/string_util.h"
@@ -49,6 +55,63 @@ EventBatch RandomBatch(Rng* rng) {
     }
   }
   return batch;
+}
+
+TEST(MonitorConcurrencyTest, ConcurrentFirstOpensBuildOnce) {
+  broker::ContractDatabase db;
+  constexpr int kContracts = 12;
+  for (int c = 0; c < kContracts; ++c) {
+    ASSERT_TRUE(db.Register("c" + std::to_string(c),
+                            StringFormat("G(p%d -> F p%d) & F p%d", c % 6,
+                                         (c + 1) % 6, (c + 2) % 6))
+                    .ok());
+  }
+  const auto snapshot = db.Snapshot();
+  Rng rng(0x0FE7);
+  std::vector<EventBatch> trace;
+  for (int b = 0; b < 6; ++b) trace.push_back(RandomBatch(&rng));
+
+  const bool was_enabled = obs::Enabled();
+  obs::SetEnabled(true);
+  auto builds = [] {
+    return obs::MetricsRegistry::Default()->Snapshot().CounterValue(
+        "monitor.builds");
+  };
+  const uint64_t builds_before = builds();
+
+  constexpr size_t kThreads = 8;
+  std::atomic<size_t> ready{0};
+  std::vector<std::unique_ptr<StreamSession>> sessions(kThreads);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) {
+      }
+      auto session = StreamSession::Open(snapshot, {});
+      if (!session.ok()) return;
+      for (const EventBatch& batch : trace) (*session)->Append(batch);
+      sessions[t] = std::move(*session);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  const uint64_t built = builds() - builds_before;
+  obs::SetEnabled(was_enabled);
+  if (CTDB_OBS) {
+    EXPECT_EQ(built, static_cast<uint64_t>(kContracts));
+  }
+
+  auto serial = StreamSession::Open(snapshot, {});
+  ASSERT_TRUE(serial.ok());
+  for (const EventBatch& batch : trace) (*serial)->Append(batch);
+  const StreamCloseInfo expected = (*serial)->Summary();
+  for (const auto& session : sessions) {
+    ASSERT_NE(session, nullptr);
+    EXPECT_EQ(session->Summary().verdicts, expected.verdicts);
+    for (size_t c = 0; c < kContracts; ++c) {
+      EXPECT_EQ(&session->monitor(c), &(*serial)->monitor(c));
+    }
+  }
 }
 
 TEST(MonitorConcurrencyTest, AppendersRaceLifecycleMutations) {

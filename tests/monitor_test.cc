@@ -1,8 +1,9 @@
 // Streaming compliance monitor semantics (DESIGN.md §15): finite-trace
 // verdicts of the incremental stepper, delta reporting against the open-time
 // baseline, alphabet pruning transparency, snapshot isolation of the as_of
-// pin across the contract lifecycle, the StreamMonitor registry's error
-// surface, and the sharded scatter-gather against the unsharded oracle.
+// pin across the contract lifecycle, one shared monitor per contract
+// version, the StreamMonitor registry's error surface, and the sharded
+// scatter-gather against the unsharded oracle.
 
 #include "monitor/monitor.h"
 
@@ -17,6 +18,8 @@
 #include "broker/database.h"
 #include "broker/durable.h"
 #include "monitor/session.h"
+#include "obs/metrics.h"
+#include "obs/obs.h"
 #include "shard/sharded.h"
 #include "testing/temp_dir.h"
 #include "wal/wal.h"
@@ -39,6 +42,27 @@ std::unique_ptr<StreamSession> OpenSession(broker::ContractDatabase* db,
   EXPECT_TRUE(session.ok()) << session.status().ToString();
   return std::move(*session);
 }
+
+/// Growth of the monitor.builds counter since construction, with metrics
+/// switched on meanwhile. Always 0 when observability is compiled out, so
+/// assertions on it sit behind `if (CTDB_OBS)`.
+class BuildCounter {
+ public:
+  BuildCounter() : was_enabled_(obs::Enabled()) {
+    obs::SetEnabled(true);
+    before_ = Read();
+  }
+  ~BuildCounter() { obs::SetEnabled(was_enabled_); }
+  uint64_t count() const { return Read() - before_; }
+
+ private:
+  static uint64_t Read() {
+    return obs::MetricsRegistry::Default()->Snapshot().CounterValue(
+        "monitor.builds");
+  }
+  bool was_enabled_;
+  uint64_t before_ = 0;
+};
 
 StreamVerdict VerdictOf(const StreamCloseInfo& info, uint32_t id) {
   for (const VerdictDelta& v : info.verdicts) {
@@ -221,6 +245,78 @@ TEST(StreamSessionTest, AsOfPastLatestClampsLikeQueries) {
   ASSERT_TRUE(session.ok());
   EXPECT_EQ((*session)->clock(), db.Snapshot()->sequence());
   EXPECT_EQ((*session)->tracked(), 1u);
+}
+
+TEST(ContractMonitorTest, SessionsOnOneSnapshotShareMonitors) {
+  broker::ContractDatabase db;
+  ASSERT_TRUE(db.Register("c0", "F paid").ok());
+  ASSERT_TRUE(db.Register("c1", "G !breach").ok());
+  ASSERT_TRUE(db.Register("c2", "G(request -> F grant)").ok());
+  const BuildCounter builds;
+  std::vector<std::unique_ptr<StreamSession>> sessions;
+  for (int i = 0; i < 4; ++i) sessions.push_back(OpenSession(&db));
+  // Every version's monitor was built by the first open only.
+  if (CTDB_OBS) {
+    EXPECT_EQ(builds.count(), 3u);
+  }
+  for (size_t c = 0; c < 3; ++c) {
+    for (const auto& session : sessions) {
+      EXPECT_EQ(&session->monitor(c), &sessions[0]->monitor(c));
+    }
+  }
+  // Shared tables, private positions: one session's events leave the
+  // others on the empty prefix.
+  sessions[0]->Append({{"paid"}, {"breach"}});
+  EXPECT_EQ(VerdictOf(sessions[0]->Summary(), 0), StreamVerdict::kSatisfied);
+  EXPECT_EQ(VerdictOf(sessions[0]->Summary(), 1), StreamVerdict::kViolated);
+  EXPECT_EQ(VerdictOf(sessions[1]->Summary(), 0),
+            StreamVerdict::kUndetermined);
+  EXPECT_EQ(VerdictOf(sessions[1]->Summary(), 1), StreamVerdict::kSatisfied);
+}
+
+TEST(ContractMonitorTest, ReplaceBuildsANewMonitorAndOldPinsKeepTheirs) {
+  broker::ContractDatabase db;
+  ASSERT_TRUE(db.Register("c0", "F paid").ok());
+  const BuildCounter builds;
+  auto before = OpenSession(&db);
+  ASSERT_TRUE(db.Replace(0, "G !paid").ok());
+  auto after = OpenSession(&db);
+  if (CTDB_OBS) {
+    EXPECT_EQ(builds.count(), 2u);
+  }
+  EXPECT_NE(&before->monitor(0), &after->monitor(0));
+
+  // The session pinned before the replace still steps the old version.
+  before->Append({{"paid"}});
+  after->Append({{"paid"}});
+  EXPECT_EQ(VerdictOf(before->Summary(), 0), StreamVerdict::kSatisfied);
+  EXPECT_EQ(VerdictOf(after->Summary(), 0), StreamVerdict::kViolated);
+}
+
+TEST(ContractMonitorTest, AsOfSessionBuildsHistoryMonitors) {
+  broker::ContractDatabase db;
+  ASSERT_TRUE(db.Register("c0", "F paid").ok());
+  const uint64_t t1 = db.Snapshot()->sequence();
+  ASSERT_TRUE(db.Replace(0, "G !paid").ok());
+  const auto snapshot = db.Snapshot();
+  const std::vector<const broker::Contract*> history = snapshot->VisibleAt(t1);
+  ASSERT_EQ(history.size(), 1u);
+
+  const BuildCounter builds;
+  StreamOptions at_t1;
+  at_t1.as_of = t1;
+  auto first = StreamSession::Open(snapshot, at_t1);
+  auto second = StreamSession::Open(snapshot, at_t1);
+  ASSERT_TRUE(first.ok() && second.ok());
+  if (CTDB_OBS) {
+    EXPECT_EQ(builds.count(), 1u);
+  }
+  EXPECT_EQ(&(*first)->monitor(0), &ContractMonitor::Of(*history[0]));
+  EXPECT_EQ(&(*second)->monitor(0), &(*first)->monitor(0));
+
+  // The history version's tables step the history version's formula.
+  (*first)->Append({{"paid"}});
+  EXPECT_EQ(VerdictOf((*first)->Summary(), 0), StreamVerdict::kSatisfied);
 }
 
 TEST(StreamMonitorTest, RegistryErrorSurface) {

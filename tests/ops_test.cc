@@ -171,7 +171,9 @@ TEST(OpsTest, ProjectionLanguageMonotonicity) {
       const bool original = AcceptsWord(ba, word);
       EXPECT_EQ(original, AcceptsWord(identity, word));
       // Dropping literals only relaxes transition guards.
-      if (original) EXPECT_TRUE(AcceptsWord(relaxed, word));
+      if (original) {
+        EXPECT_TRUE(AcceptsWord(relaxed, word));
+      }
     }
   }
 }
