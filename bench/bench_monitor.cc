@@ -28,7 +28,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -36,11 +35,13 @@
 #include "base/run.h"
 #include "bench_common.h"
 #include "monitor/session.h"
+#include "testing/reference.h"
 #include "workload/events.h"
 
 namespace {
 
 using namespace ctdb;
+using ctdb::testing::NaiveStepper;
 
 constexpr size_t kBatchLen = 256;     ///< instants per Append call
 constexpr size_t kBatchesPerIter = 4; ///< Append calls per timed iteration
@@ -138,62 +139,8 @@ void BM_StreamAppend_MismatchedNoPrune(benchmark::State& state) {
 }
 BENCHMARK(BM_StreamAppend_MismatchedNoPrune);
 
-/// Naive per-event stepping: std::set state sets, every transition's label
-/// evaluated at every instant, no freezing, no batching — the oracle the
-/// differential suite compares against, here as the performance ablation.
-class NaiveStepper {
- public:
-  explicit NaiveStepper(const broker::Contract* contract)
-      : contract_(contract) {
-    reach_.insert(contract->automaton().initial());
-    const automata::Buchi& ba = contract->automaton();
-    live_.assign(ba.StateCount(), false);
-    for (size_t s : contract->seed_states.Indices()) live_[s] = true;
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (automata::StateId s = 0; s < ba.StateCount(); ++s) {
-        if (live_[s]) continue;
-        for (const automata::Transition& t : ba.Out(s)) {
-          if (live_[t.to]) {
-            live_[s] = true;
-            changed = true;
-            break;
-          }
-        }
-      }
-    }
-  }
-
-  void Step(const Snapshot& snapshot) {
-    const automata::Buchi& ba = contract_->automaton();
-    std::set<automata::StateId> next;
-    for (automata::StateId s : reach_) {
-      for (const automata::Transition& t : ba.Out(s)) {
-        if (Satisfies(snapshot, t.label)) next.insert(t.to);
-      }
-    }
-    reach_ = std::move(next);
-  }
-
-  monitor::StreamVerdict Verdict() const {
-    const automata::Buchi& ba = contract_->automaton();
-    bool any_live = false, any_final = false;
-    for (automata::StateId s : reach_) {
-      if (live_[s]) any_live = true;
-      if (ba.finals().Test(s)) any_final = true;
-    }
-    if (!any_live) return monitor::StreamVerdict::kViolated;
-    return any_final ? monitor::StreamVerdict::kSatisfied
-                     : monitor::StreamVerdict::kUndetermined;
-  }
-
- private:
-  const broker::Contract* contract_;
-  std::set<automata::StateId> reach_;
-  std::vector<bool> live_;
-};
-
+/// The matched stream through testing::NaiveStepper, the oracle the monitor
+/// differential compares against, here as the performance ablation.
 void BM_StreamAppend_Naive(benchmark::State& state) {
   MonitorFixture* f = GetFixture();
   // Resolve the matched batches to snapshots once; the naive loop should

@@ -109,8 +109,9 @@ int main() {
   char wal_dir[] = "/tmp/ctdb_quickstart_XXXXXX";
   if (::mkdtemp(wal_dir) == nullptr) return 1;
   ctdb::wal::DurabilityOptions durability;
-  durability.fsync_policy = ctdb::wal::FsyncPolicy::kGroup;  // 1 fsync/group
-  durability.group_commit_window = std::chrono::microseconds(200);
+  // kAlways: every acknowledged Register is fsynced; concurrent ones share
+  // an fsync.
+  durability.fsync_policy = ctdb::wal::FsyncPolicy::kAlways;
   durability.checkpoint_log_bytes = 8u << 20;  // background checkpoint cadence
   {
     auto durable = ctdb::broker::DurableDatabase::Open(wal_dir, durability);

@@ -24,7 +24,6 @@ int main() {
   if (::mkdtemp(dir) == nullptr) return 1;
 
   ctdb::wal::DurabilityOptions durability;
-  durability.fsync_policy = ctdb::wal::FsyncPolicy::kGroup;
 
   // --- Create a 4-shard topology and register through the router. ---------
   ctdb::broker::DatabaseOptions topology;

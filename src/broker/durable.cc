@@ -3,7 +3,6 @@
 #include <cinttypes>
 
 #include <algorithm>
-#include <future>
 #include <sstream>
 #include <utility>
 
@@ -30,16 +29,9 @@ bool ParseCheckpointFileName(std::string_view name, uint64_t* sequence) {
       name.substr(name.size() - kSuffix.size()) != kSuffix) {
     return false;
   }
-  const std::string_view digits =
-      name.substr(kPrefix.size(), name.size() - kPrefix.size() - kSuffix.size());
-  if (digits.empty() || digits.size() > 20) return false;
-  uint64_t value = 0;
-  for (char c : digits) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<uint64_t>(c - '0');
-  }
-  *sequence = value;
-  return true;
+  return ParseUint64(
+      name.substr(kPrefix.size(), name.size() - kPrefix.size() - kSuffix.size()),
+      sequence);
 }
 
 Result<std::unique_ptr<ContractDatabase>> RecoverDatabase(
@@ -197,23 +189,16 @@ DurableDatabase::~DurableDatabase() { Close(); }
 
 Status DurableDatabase::Commit(
     const std::function<Status(std::vector<wal::Record>*)>& apply) {
-  std::vector<std::future<Status>> durable;
+  uint64_t ticket = 0;
   {
     std::lock_guard<std::mutex> lock(append_mutex_);
     CTDB_RETURN_NOT_OK(CheckOpen());
     std::vector<wal::Record> records;
     CTDB_RETURN_NOT_OK(apply(&records));
-    for (wal::Record& record : records) {
-      record.sequence = ++sequence_;
-      durable.push_back(writer_->AppendAsync(record));
-    }
+    for (wal::Record& record : records) record.sequence = ++sequence_;
+    CTDB_ASSIGN_OR_RETURN(ticket, writer_->Enqueue(records));
   }
-  Status status;
-  for (std::future<Status>& f : durable) {
-    const Status s = f.get();
-    if (status.ok()) status = s;
-  }
-  CTDB_RETURN_NOT_OK(status);
+  CTDB_RETURN_NOT_OK(writer_->Wait(ticket));
   MaybeScheduleCheckpoint();
   return Status::OK();
 }

@@ -227,8 +227,9 @@ class DurableDatabase : public Broker {
                   RecoveryStats recovery_stats);
 
   /// Every mutation's one durable path: under append_mutex_, `apply` mutates
-  /// db_ and lists its WAL records (sequence 0); Commit numbers and enqueues
-  /// them, and returns once all are durable. Unavailable after Close.
+  /// db_ and lists its WAL records (sequence 0); Commit numbers them and
+  /// enqueues them in one call (one group), then waits outside the lock
+  /// until all are durable. Unavailable after Close.
   Status Commit(const std::function<Status(std::vector<wal::Record>*)>& apply);
 
   Status CheckOpen() const {

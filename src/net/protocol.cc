@@ -1,63 +1,20 @@
 #include "net/protocol.h"
 
+#include "util/byte_codec.h"
 #include "util/crc32c.h"
 
 namespace ctdb::net {
 
+using util::GetString;
+using util::GetU32;
+using util::GetU64;
+using util::GetU8;
+using util::PutString;
+using util::PutU32;
+using util::PutU64;
+using util::PutU8;
+
 namespace {
-
-void PutU8(std::string* out, uint8_t v) { out->push_back(static_cast<char>(v)); }
-
-void PutU32(std::string* out, uint32_t v) {
-  char buf[4];
-  buf[0] = static_cast<char>(v & 0xFF);
-  buf[1] = static_cast<char>((v >> 8) & 0xFF);
-  buf[2] = static_cast<char>((v >> 16) & 0xFF);
-  buf[3] = static_cast<char>((v >> 24) & 0xFF);
-  out->append(buf, 4);
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  PutU32(out, static_cast<uint32_t>(v & 0xFFFFFFFFu));
-  PutU32(out, static_cast<uint32_t>(v >> 32));
-}
-
-void PutString(std::string* out, std::string_view s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s);
-}
-
-bool GetU8(std::string_view data, size_t* offset, uint8_t* v) {
-  if (data.size() - *offset < 1) return false;
-  *v = static_cast<uint8_t>(data[*offset]);
-  *offset += 1;
-  return true;
-}
-
-bool GetU32(std::string_view data, size_t* offset, uint32_t* v) {
-  if (data.size() - *offset < 4) return false;
-  const auto* p = reinterpret_cast<const uint8_t*>(data.data() + *offset);
-  *v = static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
-       (static_cast<uint32_t>(p[2]) << 16) | (static_cast<uint32_t>(p[3]) << 24);
-  *offset += 4;
-  return true;
-}
-
-bool GetU64(std::string_view data, size_t* offset, uint64_t* v) {
-  uint32_t lo = 0, hi = 0;
-  if (!GetU32(data, offset, &lo) || !GetU32(data, offset, &hi)) return false;
-  *v = static_cast<uint64_t>(hi) << 32 | lo;
-  return true;
-}
-
-bool GetString(std::string_view data, size_t* offset, std::string* s) {
-  uint32_t len = 0;
-  if (!GetU32(data, offset, &len)) return false;
-  if (data.size() - *offset < len) return false;
-  s->assign(data.substr(*offset, len));
-  *offset += len;
-  return true;
-}
 
 /// True when `count` elements of at least `min_bytes` each can still fit in
 /// the remaining payload — the guard that keeps a hostile count prefix from
@@ -543,25 +500,12 @@ Status DecodeResponsePayload(std::string_view payload, Response* response) {
   return Status::OK();
 }
 
-namespace {
-
-std::string EncodeFrame(std::string payload) {
-  std::string out;
-  out.reserve(kFrameHeaderBytes + payload.size());
-  PutU32(&out, static_cast<uint32_t>(payload.size()));
-  PutU32(&out, util::Crc32c(payload));
-  out += payload;
-  return out;
-}
-
-}  // namespace
-
 std::string EncodeRequestFrame(const Request& request) {
-  return EncodeFrame(EncodeRequestPayload(request));
+  return util::EncodeFrame(EncodeRequestPayload(request));
 }
 
 std::string EncodeResponseFrame(const Response& response) {
-  return EncodeFrame(EncodeResponsePayload(response));
+  return util::EncodeFrame(EncodeResponsePayload(response));
 }
 
 FrameScan ScanFrame(std::string_view data, size_t* offset,

@@ -69,12 +69,13 @@
 #include <vector>
 
 #include "monitor/types.h"
+#include "util/byte_codec.h"
 #include "util/result.h"
 
 namespace ctdb::net {
 
-/// Frame header size: length u32 + crc u32.
-inline constexpr size_t kFrameHeaderBytes = 8;
+/// Frame header size: length u32 + crc u32 (util/byte_codec.h).
+using util::kFrameHeaderBytes;
 
 /// Upper bound on one payload; larger length prefixes are rejected as
 /// corruption before any allocation, bounding memory under hostile input.

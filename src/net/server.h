@@ -5,10 +5,11 @@
 // Architecture: one event-loop thread multiplexes every socket with
 // poll(2) — the listener, a self-pipe for cross-thread wakeups, and all
 // client connections, each non-blocking. The loop does all socket reads
-// and writes; request *execution* happens on the database's own
-// util::ThreadPool via Submit, so a slow query never stalls I/O. Workers
-// hand finished response frames back by appending to the connection's
-// outbound buffer (mutex-guarded) and poking the self-pipe.
+// and writes; request *execution* happens on the server's own
+// util::ThreadPool of ServerOptions::workers threads, so a slow query never
+// stalls I/O. Workers hand finished response frames back by appending to
+// the connection's outbound buffer (mutex-guarded) and poking the
+// self-pipe.
 //
 // Pipelining: a client may send any number of request frames back to back;
 // the loop parses every complete frame out of the connection's read buffer
@@ -32,8 +33,8 @@
 //
 // Graceful drain (RequestDrain, Shutdown, SIGTERM in tools/ctdb_server):
 // stop accepting connections, stop reading new bytes, finish every request
-// already received (the WAL group-commit writer flushes as those
-// registrations complete), flush every outbound buffer, then close. A
+// already received (each registration's worker commits its WAL group
+// before answering), flush every outbound buffer, then close. A
 // connection that will not drain its responses is cut off after
 // drain_timeout_ms so shutdown always terminates.
 
@@ -60,7 +61,8 @@ namespace ctdb::net {
 struct ServerOptions {
   std::string host = "127.0.0.1";
   uint16_t port = 0;  ///< 0 = ephemeral; see Server::port()
-  /// Worker threads executing requests (grows the database's shared pool).
+  /// Worker threads executing requests, in a pool the server builds for
+  /// itself.
   size_t workers = 4;
   /// Admission-control cap: requests queued-or-executing before load-shed.
   size_t max_pending = 256;
@@ -130,8 +132,8 @@ class Server {
   int listen_fd_ = -1;
   int wake_read_fd_ = -1;
   int wake_write_fd_ = -1;
-  std::unique_ptr<util::ThreadPool> owned_pool_;
-  util::ThreadPool* pool_ = nullptr;
+  /// The server's own request executors (ServerOptions::workers).
+  std::unique_ptr<util::ThreadPool> pool_;
 
   std::atomic<bool> draining_{false};
   std::atomic<bool> stopped_{false};

@@ -31,8 +31,8 @@
 // mutations in between (DESIGN.md §14).
 //
 // Durability. Each shard is a full broker::DurableDatabase with its own WAL
-// and checkpoint directory — its own group-commit writer, its own fsync
-// cadence, its own log device if the deployment mounts them that way. A
+// and checkpoint directory — its own group commit, its own fsync cadence,
+// its own log device if the deployment mounts them that way. A
 // registration is acknowledged when ITS shard made it durable; shards never
 // wait for each other. Recovery replays all shard logs in parallel on the
 // router's thread pool: wall time is the slowest shard, not the sum

@@ -11,8 +11,8 @@ namespace ctdb::testing {
 namespace {
 
 // The production hook is a bare function pointer, so the harness state is
-// file-scope. A mutex serializes hits: sites fire from the caller's thread
-// and from the WAL writer thread.
+// file-scope. A mutex serializes hits: sites fire from every committing
+// thread that leads a WAL group and from the background checkpointer.
 std::mutex g_mutex;
 std::vector<std::string>* g_record = nullptr;
 bool g_armed = false;

@@ -1,7 +1,6 @@
 #include "testing/differential.h"
 
 #include <algorithm>
-#include <set>
 #include <sstream>
 
 #include "automata/word.h"
@@ -604,64 +603,6 @@ bool LifecycleIteration::ProbeTick(uint64_t tick,
   }
   return true;
 }
-
-/// Independent re-implementation of finite-trace stepping for the monitor
-/// differential: std::set state sets, a per-event scan of every transition
-/// label, and a forward fixpoint for the live marking — deliberately sharing
-/// no code (bitsets, label dedup, reverse adjacency, freezing, pruning) with
-/// monitor::ContractMonitor and ContractStepper.
-class NaiveStepper {
- public:
-  explicit NaiveStepper(const broker::Contract* contract)
-      : contract_(contract) {
-    const automata::Buchi& ba = contract->automaton();
-    live_.assign(ba.StateCount(), false);
-    for (size_t s : contract->seed_states.Indices()) live_[s] = true;
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (automata::StateId s = 0; s < ba.StateCount(); ++s) {
-        if (live_[s]) continue;
-        for (const automata::Transition& t : ba.Out(s)) {
-          if (live_[t.to]) {
-            live_[s] = true;
-            changed = true;
-            break;
-          }
-        }
-      }
-    }
-    reach_.insert(ba.initial());
-  }
-
-  void Step(const Snapshot& snapshot) {
-    const automata::Buchi& ba = contract_->automaton();
-    std::set<automata::StateId> next;
-    for (automata::StateId s : reach_) {
-      for (const automata::Transition& t : ba.Out(s)) {
-        if (Satisfies(snapshot, t.label)) next.insert(t.to);
-      }
-    }
-    reach_ = std::move(next);
-  }
-
-  monitor::StreamVerdict Verdict() const {
-    const automata::Buchi& ba = contract_->automaton();
-    bool any_live = false, any_final = false;
-    for (automata::StateId s : reach_) {
-      if (live_[s]) any_live = true;
-      if (ba.finals().Test(s)) any_final = true;
-    }
-    if (!any_live) return monitor::StreamVerdict::kViolated;
-    return any_final ? monitor::StreamVerdict::kSatisfied
-                     : monitor::StreamVerdict::kUndetermined;
-  }
-
- private:
-  const broker::Contract* contract_;
-  std::set<automata::StateId> reach_;
-  std::vector<bool> live_;
-};
 
 std::string RenderVerdicts(const std::vector<monitor::VerdictDelta>& v) {
   std::string out = "{";

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "automata/ops.h"
@@ -70,6 +71,51 @@ bool ReferencePermits(const automata::Buchi& contract,
                       const automata::Buchi& query) {
   return !automata::IsEmptyLanguage(
       PermissionProduct(contract, contract_events, query));
+}
+
+NaiveStepper::NaiveStepper(const broker::Contract* contract)
+    : contract_(contract) {
+  const automata::Buchi& ba = contract->automaton();
+  live_.assign(ba.StateCount(), false);
+  for (size_t s : contract->seed_states.Indices()) live_[s] = true;
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (automata::StateId s = 0; s < ba.StateCount(); ++s) {
+      if (live_[s]) continue;
+      for (const automata::Transition& t : ba.Out(s)) {
+        if (live_[t.to]) {
+          live_[s] = true;
+          changed = true;
+          break;
+        }
+      }
+    }
+  }
+  reach_.insert(ba.initial());
+}
+
+void NaiveStepper::Step(const Snapshot& snapshot) {
+  const automata::Buchi& ba = contract_->automaton();
+  std::set<automata::StateId> next;
+  for (automata::StateId s : reach_) {
+    for (const automata::Transition& t : ba.Out(s)) {
+      if (Satisfies(snapshot, t.label)) next.insert(t.to);
+    }
+  }
+  reach_ = std::move(next);
+}
+
+monitor::StreamVerdict NaiveStepper::Verdict() const {
+  const automata::Buchi& ba = contract_->automaton();
+  bool any_live = false, any_final = false;
+  for (automata::StateId s : reach_) {
+    if (live_[s]) any_live = true;
+    if (ba.finals().Test(s)) any_final = true;
+  }
+  if (!any_live) return monitor::StreamVerdict::kViolated;
+  return any_final ? monitor::StreamVerdict::kSatisfied
+                   : monitor::StreamVerdict::kUndetermined;
 }
 
 }  // namespace ctdb::testing

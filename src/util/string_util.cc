@@ -1,5 +1,6 @@
 #include "util/string_util.h"
 
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 
@@ -41,6 +42,17 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
 
 bool StartsWith(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
+}
+
+bool ParseUint64(std::string_view digits, uint64_t* value) {
+  const char* end = digits.data() + digits.size();
+  uint64_t parsed = 0;
+  // from_chars rejects empty input, a sign or a space for an unsigned type,
+  // and reports overflow instead of wrapping.
+  const auto [stop, error] = std::from_chars(digits.data(), end, parsed);
+  if (error != std::errc() || stop != end) return false;
+  *value = parsed;
+  return true;
 }
 
 std::string StringFormat(const char* fmt, ...) {

@@ -2,6 +2,7 @@
 
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -19,6 +20,11 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 
 /// True iff `s` starts with `prefix`.
 bool StartsWith(std::string_view s, std::string_view prefix);
+
+/// Parses `digits` as a decimal uint64_t: nonempty, ASCII digits only, and
+/// at most 2^64-1 — a larger number is rejected, never wrapped. Leaves
+/// `*value` untouched on failure.
+bool ParseUint64(std::string_view digits, uint64_t* value);
 
 /// printf-style formatting into a std::string.
 std::string StringFormat(const char* fmt, ...)

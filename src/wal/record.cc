@@ -1,58 +1,16 @@
 #include "wal/record.h"
 
-#include <cstring>
-
+#include "util/byte_codec.h"
 #include "util/crc32c.h"
 
 namespace ctdb::wal {
 
-namespace {
-
-void PutU32(std::string* out, uint32_t v) {
-  char buf[4];
-  buf[0] = static_cast<char>(v & 0xFF);
-  buf[1] = static_cast<char>((v >> 8) & 0xFF);
-  buf[2] = static_cast<char>((v >> 16) & 0xFF);
-  buf[3] = static_cast<char>((v >> 24) & 0xFF);
-  out->append(buf, 4);
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  PutU32(out, static_cast<uint32_t>(v & 0xFFFFFFFFu));
-  PutU32(out, static_cast<uint32_t>(v >> 32));
-}
-
-void PutString(std::string* out, std::string_view s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s);
-}
-
-bool GetU32(std::string_view data, size_t* offset, uint32_t* v) {
-  if (data.size() - *offset < 4) return false;
-  const auto* p = reinterpret_cast<const uint8_t*>(data.data() + *offset);
-  *v = static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
-       (static_cast<uint32_t>(p[2]) << 16) | (static_cast<uint32_t>(p[3]) << 24);
-  *offset += 4;
-  return true;
-}
-
-bool GetU64(std::string_view data, size_t* offset, uint64_t* v) {
-  uint32_t lo = 0, hi = 0;
-  if (!GetU32(data, offset, &lo) || !GetU32(data, offset, &hi)) return false;
-  *v = static_cast<uint64_t>(hi) << 32 | lo;
-  return true;
-}
-
-bool GetString(std::string_view data, size_t* offset, std::string* s) {
-  uint32_t len = 0;
-  if (!GetU32(data, offset, &len)) return false;
-  if (data.size() - *offset < len) return false;
-  s->assign(data.substr(*offset, len));
-  *offset += len;
-  return true;
-}
-
-}  // namespace
+using util::GetString;
+using util::GetU32;
+using util::GetU64;
+using util::PutString;
+using util::PutU32;
+using util::PutU64;
 
 Record Record::Register(uint64_t sequence, uint64_t clock,
                         uint32_t contract_id, std::string name,
@@ -169,13 +127,7 @@ Status DecodePayload(std::string_view payload, Record* record) {
 }
 
 std::string EncodeFrame(const Record& record) {
-  const std::string payload = EncodePayload(record);
-  std::string out;
-  out.reserve(kFrameHeaderBytes + payload.size());
-  PutU32(&out, static_cast<uint32_t>(payload.size()));
-  PutU32(&out, util::Crc32c(payload));
-  out += payload;
-  return out;
+  return util::EncodeFrame(EncodePayload(record));
 }
 
 Status DecodeFrame(std::string_view data, size_t* offset, Record* record) {

@@ -34,6 +34,7 @@
 #include <string>
 #include <string_view>
 
+#include "util/byte_codec.h"
 #include "util/result.h"
 
 namespace ctdb::wal {
@@ -74,8 +75,8 @@ struct Record {
   bool operator==(const Record& other) const;
 };
 
-/// Frame header size: length u32 + crc u32.
-inline constexpr size_t kFrameHeaderBytes = 8;
+/// Frame header size: length u32 + crc u32 (util/byte_codec.h).
+using util::kFrameHeaderBytes;
 
 /// Lower bound on one payload: the common header (type u8 · sequence u64 ·
 /// clock u64 · contract_id u32) that every record type carries. Anything

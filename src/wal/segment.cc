@@ -15,15 +15,7 @@ bool ParseSegmentFileName(std::string_view name, uint64_t* index) {
       name.substr(name.size() - 4) != ".log") {
     return false;
   }
-  const std::string_view digits = name.substr(4, name.size() - 8);
-  if (digits.empty() || digits.size() > 20) return false;
-  uint64_t value = 0;
-  for (char c : digits) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<uint64_t>(c - '0');
-  }
-  *index = value;
-  return true;
+  return ParseUint64(name.substr(4, name.size() - 8), index);
 }
 
 namespace {

@@ -6,8 +6,6 @@ const char* FsyncPolicyName(FsyncPolicy policy) {
   switch (policy) {
     case FsyncPolicy::kAlways:
       return "always";
-    case FsyncPolicy::kGroup:
-      return "group";
     case FsyncPolicy::kNever:
       return "never";
   }

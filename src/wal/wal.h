@@ -12,7 +12,6 @@
 
 #pragma once
 
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 
@@ -21,13 +20,10 @@ namespace ctdb::wal {
 /// When an acknowledged registration is guaranteed to survive a crash.
 enum class FsyncPolicy : uint8_t {
   /// fsync before every acknowledgement: a record is durable when its
-  /// Register returns Ok. Concurrent registrations arriving while an fsync
-  /// is in flight still share the next one (group commit never turns off).
+  /// Register returns Ok. Registrations arriving while an fsync is in
+  /// flight share the next one (writer.h), so concurrent commits still
+  /// amortize it without waiting for company.
   kAlways,
-  /// The writer waits up to `group_commit_window` collecting records, then
-  /// persists the whole group with one write+fsync. A registration is
-  /// durable when it returns Ok; the window only bounds added latency.
-  kGroup,
   /// Never fsync: records are written to the OS immediately but survive
   /// only an orderly process exit, not a power failure. For bulk loads and
   /// tests.
@@ -38,12 +34,7 @@ const char* FsyncPolicyName(FsyncPolicy policy);
 
 /// Knobs for the durability subsystem (broker::DurableDatabase).
 struct DurabilityOptions {
-  FsyncPolicy fsync_policy = FsyncPolicy::kGroup;
-
-  /// How long the group-commit writer waits for more records before
-  /// flushing a group (kGroup only). 0 flushes whatever is queued at once —
-  /// equivalent to kAlways.
-  std::chrono::microseconds group_commit_window{200};
+  FsyncPolicy fsync_policy = FsyncPolicy::kAlways;
 
   /// Rotate to a new segment once the current one exceeds this size.
   size_t segment_bytes = 8u << 20;

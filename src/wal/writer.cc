@@ -4,8 +4,8 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cassert>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <utility>
 
@@ -47,74 +47,85 @@ Result<std::unique_ptr<LogWriter>> LogWriter::Open(
   std::unique_ptr<LogWriter> writer(new LogWriter(
       std::move(dir), options, std::move(recovered_segments)));
   CTDB_RETURN_NOT_OK(writer->OpenSegment(next_segment_index));
-  writer->thread_ = std::thread([w = writer.get()] { w->WriterLoop(); });
   return writer;
 }
 
 LogWriter::~LogWriter() { Close(); }
 
-std::future<Status> LogWriter::AppendAsync(const Record& record) {
-  std::promise<Status> promise;
-  std::future<Status> future = promise.get_future();
-  std::lock_guard<std::mutex> lock(queue_mutex_);
-  if (closed_ || stop_) {
-    promise.set_value(Status::Unavailable("log writer is closed"));
-    return future;
+Result<uint64_t> LogWriter::Enqueue(std::span<const Record> records) {
+  std::string frames;
+  uint64_t max_sequence = 0;
+  for (const Record& record : records) {
+    frames += EncodeFrame(record);
+    // Every mutating type advances the segment's sequence watermark;
+    // kCheckpoint records are bookkeeping and never pin a segment.
+    if (IsMutationType(record.type)) {
+      max_sequence = std::max(max_sequence, record.sequence);
+    }
   }
-  if (!sticky_error_.ok()) {
-    promise.set_value(sticky_error_);
-    return future;
-  }
-  Pending pending;
-  pending.frame = EncodeFrame(record);
-  // Every mutating type advances the segment's sequence watermark;
-  // kCheckpoint records are bookkeeping and never pin a segment.
-  pending.sequence = IsMutationType(record.type) ? record.sequence : 0;
-  pending.done = std::move(promise);
-  queue_.push_back(std::move(pending));
-  queue_cv_.notify_all();
-  return future;
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (closed_) return Status::Unavailable("log writer is closed");
+  CTDB_RETURN_NOT_OK(sticky_error_);
+  queued_ += frames;
+  queued_max_sequence_ = std::max(queued_max_sequence_, max_sequence);
+  enqueued_ += records.size();
+  return enqueued_;
 }
 
-Status LogWriter::Append(const Record& record) {
+Status LogWriter::Wait(uint64_t ticket) {
   Timer wait;
-  std::future<Status> future = AppendAsync(record);
-  const Status status = future.get();
+  std::unique_lock<std::mutex> lock(mutex_);
+  assert(ticket <= enqueued_ && "tickets come from Enqueue");
+  while (durable_ < ticket && sticky_error_.ok()) {
+    if (leader_) {
+      cv_.wait(lock);
+      continue;
+    }
+    leader_ = true;
+    CommitQueued(&lock);
+    StepDown();
+  }
+  const Status status = durable_ >= ticket ? Status::OK() : sticky_error_;
+  lock.unlock();
   CTDB_OBS_HIST("wal.commit_wait_us", wait.ElapsedMicros());
   return status;
 }
 
+Status LogWriter::Append(const Record& record) {
+  CTDB_ASSIGN_OR_RETURN(const uint64_t ticket, Enqueue({&record, 1}));
+  return Wait(ticket);
+}
+
 Status LogWriter::RotateSegment() {
-  std::future<Status> future;
-  {
-    std::promise<Status> promise;
-    future = promise.get_future();
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    if (closed_ || stop_) {
-      return Status::Unavailable("log writer is closed");
-    }
-    if (!sticky_error_.ok()) return sticky_error_;
-    Pending pending;
-    pending.rotate = true;
-    pending.done = std::move(promise);
-    queue_.push_back(std::move(pending));
-    queue_cv_.notify_all();
+  std::unique_lock<std::mutex> lock(mutex_);
+  Lead(&lock);
+  // Re-checked under the role: a Close that led first has sealed the file.
+  if (closed_) {
+    StepDown();
+    return Status::Unavailable("log writer is closed");
   }
-  return future.get();
+  CommitQueued(&lock);
+  if (sticky_error_.ok()) {
+    lock.unlock();
+    const Status status = Rotate();
+    lock.lock();
+    if (!status.ok()) sticky_error_ = status;
+  }
+  StepDown();
+  return sticky_error_;
 }
 
 Status LogWriter::Close() {
-  {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    if (closed_) return sticky_error_;
-    closed_ = true;
-    stop_ = true;
-    queue_cv_.notify_all();
-  }
-  if (thread_.joinable()) thread_.join();
+  std::unique_lock<std::mutex> lock(mutex_);
+  if (closed_) return sticky_error_;
+  closed_ = true;  // nothing is enqueued after this point
+  Lead(&lock);
+  CommitQueued(&lock);
+  lock.unlock();
   const Status close_status = CloseSegmentFile();
-  std::lock_guard<std::mutex> lock(queue_mutex_);
+  lock.lock();
   if (sticky_error_.ok() && !close_status.ok()) sticky_error_ = close_status;
+  StepDown();
   return sticky_error_;
 }
 
@@ -154,74 +165,44 @@ std::vector<LogWriter::SegmentInfo> LogWriter::SealedSegments() const {
   return sealed_segments_;
 }
 
-void LogWriter::WriterLoop() {
-  std::unique_lock<std::mutex> lock(queue_mutex_);
-  while (true) {
-    if (queue_.empty()) {
-      if (stop_) break;
-      queue_cv_.wait(lock);
-      continue;
-    }
-    // Group-commit window: keep collecting while callers pile on. Under
-    // kAlways (or a zero window) whatever is queued right now forms the
-    // group — concurrent appends still batch, they just never wait.
-    if (options_.fsync_policy == FsyncPolicy::kGroup && !stop_ &&
-        options_.group_commit_window.count() > 0) {
-      const auto deadline =
-          std::chrono::steady_clock::now() + options_.group_commit_window;
-      while (!stop_ && std::chrono::steady_clock::now() < deadline) {
-        queue_cv_.wait_until(lock, deadline);
-      }
-    }
-    std::vector<Pending> batch = std::move(queue_);
-    queue_.clear();
-    lock.unlock();
+void LogWriter::Lead(std::unique_lock<std::mutex>* lock) {
+  cv_.wait(*lock, [this] { return !leader_; });
+  leader_ = true;
+}
 
-    // Rotate requests split the batch into groups committed around them.
-    size_t group_start = 0;
-    for (size_t i = 0; i <= batch.size(); ++i) {
-      const bool is_rotate = i < batch.size() && batch[i].rotate;
-      if (i != batch.size() && !is_rotate) continue;
-      CommitGroup(&batch, group_start, i);
-      if (is_rotate) {
-        Status status;
-        {
-          std::lock_guard<std::mutex> sticky_lock(queue_mutex_);
-          status = sticky_error_;
-        }
-        if (status.ok()) status = RotateLocked();
-        if (!status.ok()) {
-          std::lock_guard<std::mutex> sticky_lock(queue_mutex_);
-          if (sticky_error_.ok()) sticky_error_ = status;
-        }
-        batch[i].done.set_value(status);
-      }
-      group_start = i + 1;
-    }
-    lock.lock();
+void LogWriter::StepDown() {
+  leader_ = false;
+  cv_.notify_all();
+}
+
+void LogWriter::CommitQueued(std::unique_lock<std::mutex>* lock) {
+  if (queued_.empty() || !sticky_error_.ok()) return;
+  const std::string group = std::exchange(queued_, {});
+  const uint64_t max_sequence = std::exchange(queued_max_sequence_, 0);
+  // Every record past durable_ is in this group: the previous leader
+  // published its ticket, and the role admits one leader at a time.
+  const uint64_t ticket = enqueued_;
+  const uint64_t records = ticket - durable_;
+  lock->unlock();
+  const Status status = WriteGroup(group, records, max_sequence);
+  lock->lock();
+  if (status.ok()) {
+    durable_ = ticket;
+  } else {
+    sticky_error_ = status;
   }
 }
 
-void LogWriter::CommitGroup(std::vector<Pending>* batch, size_t first,
-                            size_t last) {
-  if (first == last) return;
+Status LogWriter::WriteGroup(std::string_view group,
+                             [[maybe_unused]] uint64_t records,
+                             uint64_t max_sequence) {
   Status status;
-  {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    status = sticky_error_;
-  }
-  std::string buffer;
-  uint64_t max_sequence = 0;
-  for (size_t i = first; i < last; ++i) {
-    buffer += (*batch)[i].frame;
-    max_sequence = std::max(max_sequence, (*batch)[i].sequence);
-  }
-  if (status.ok() && segment_bytes_written_ > kSegmentMagic.size() &&
-      segment_bytes_written_ + buffer.size() > options_.segment_bytes) {
-    status = RotateLocked();
+  if (segment_bytes_written_ > kSegmentMagic.size() &&
+      segment_bytes_written_ + group.size() > options_.segment_bytes) {
+    status = Rotate();
   }
   if (status.ok()) {
-    status = WriteAllFd(fd_, buffer);
+    status = WriteAllFd(fd_, group);
     util::CrashPoint("wal.writer.after_write");
   }
   if (status.ok() && ShouldSync()) {
@@ -236,26 +217,20 @@ void LogWriter::CommitGroup(std::vector<Pending>* batch, size_t first,
     util::CrashPoint("wal.writer.after_fsync");
   }
   if (status.ok()) {
-    segment_bytes_written_ += buffer.size();
+    segment_bytes_written_ += group.size();
     segment_max_sequence_ = std::max(segment_max_sequence_, max_sequence);
-    bytes_since_checkpoint_.fetch_add(buffer.size(),
-                                      std::memory_order_relaxed);
-    CTDB_OBS_COUNT("wal.appends", last - first);
-    CTDB_OBS_COUNT("wal.append_bytes", buffer.size());
+    bytes_since_checkpoint_.fetch_add(group.size(), std::memory_order_relaxed);
+    CTDB_OBS_COUNT("wal.appends", records);
+    CTDB_OBS_COUNT("wal.append_bytes", group.size());
     CTDB_OBS_COUNT("wal.groups", 1);
-    CTDB_OBS_HIST("wal.group_records", last - first);
-    CTDB_OBS_HIST("wal.group_bytes", buffer.size());
-  } else {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    if (sticky_error_.ok()) sticky_error_ = status;
+    CTDB_OBS_HIST("wal.group_records", records);
+    CTDB_OBS_HIST("wal.group_bytes", group.size());
   }
   util::CrashPoint("wal.writer.before_ack");
-  for (size_t i = first; i < last; ++i) {
-    (*batch)[i].done.set_value(status);
-  }
+  return status;
 }
 
-Status LogWriter::RotateLocked() {
+Status LogWriter::Rotate() {
   const uint64_t next = current_segment_index() + 1;
   CTDB_RETURN_NOT_OK(CloseSegmentFile());
   CTDB_RETURN_NOT_OK(OpenSegment(next));

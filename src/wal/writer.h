@@ -1,20 +1,21 @@
-// The group-commit log writer: a dedicated background thread that batches
-// concurrently enqueued records into one write+fsync per group.
+// The group-commit log writer: leader-follower group commit in the
+// committing threads, with no thread of its own.
 //
-// Callers enqueue framed records with AppendAsync and block on the returned
-// future; the writer thread collects everything queued (waiting up to
-// DurabilityOptions::group_commit_window under FsyncPolicy::kGroup), writes
-// the group with a single `write`, makes it durable per the fsync policy,
-// and only then fulfils the futures — so an acknowledged append is durable
-// by construction. Rotation to a new segment happens on the writer thread,
-// either when the current segment exceeds segment_bytes or on an explicit
-// RotateSegment request (the checkpointer uses this to seal the log below a
-// checkpoint so covered segments become deletable).
+// A caller enqueues its records with Enqueue, which frames them and returns
+// a ticket, then blocks in Wait(ticket). A waiter that finds no group in
+// flight becomes the leader: it takes everything queued, writes it with a
+// single `write`, makes it durable per the fsync policy, and wakes the
+// others. Records enqueued while a leader is busy wait for the next leader,
+// which writes them all as one group — so concurrent commits share an fsync
+// without anyone sleeping for company. Wait returns Ok only once the
+// caller's records are durable, so an acknowledged append is durable by
+// construction. RotateSegment and Close take the same leader role, writing
+// what is queued before they act.
 //
 // Ordering contract: records are written in enqueue order. The owner
 // (broker::DurableDatabase) enqueues mutation records while holding its
 // append mutex, so on-disk order equals mutation-sequence order — which
-// recovery then verifies.
+// recovery then verifies — and one Enqueue call always lands in one group.
 //
 // I/O errors are sticky: the first failed write/fsync fails its whole group
 // and every later append, so a caller can never get an Ok for a record
@@ -25,11 +26,11 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <future>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
-#include <thread>
+#include <string_view>
 #include <vector>
 
 #include "util/result.h"
@@ -67,19 +68,26 @@ class LogWriter {
   LogWriter(const LogWriter&) = delete;
   LogWriter& operator=(const LogWriter&) = delete;
 
-  /// Enqueues `record`; the future resolves once the record is durable per
-  /// the fsync policy (for kNever: written to the OS).
-  std::future<Status> AppendAsync(const Record& record);
+  /// Queues `records`, in order, for the next group and returns the ticket
+  /// to Wait on. Never blocks on I/O. Unavailable after Close; the sticky
+  /// error after an I/O failure.
+  Result<uint64_t> Enqueue(std::span<const Record> records);
 
-  /// AppendAsync + wait.
+  /// Returns once every record enqueued up to `ticket` is durable per the
+  /// fsync policy (for kNever: written to the OS), leading groups as
+  /// needed; the sticky error if one of them failed.
+  Status Wait(uint64_t ticket);
+
+  /// Enqueue + Wait for one record.
   Status Append(const Record& record);
 
   /// Seals the current segment and starts a new one; returns once every
-  /// previously enqueued record is flushed and the new segment exists.
+  /// previously enqueued record is written and the new segment exists.
   Status RotateSegment();
 
-  /// Drains the queue, seals the current segment and stops the writer
-  /// thread. Further appends fail. Idempotent; also run by the destructor.
+  /// Writes everything enqueued so far, then seals the current segment.
+  /// Further appends and rotations are Unavailable. Idempotent; also run by
+  /// the destructor.
   Status Close();
 
   /// Deletes every sealed segment whose mutating records all have sequence
@@ -106,19 +114,20 @@ class LogWriter {
   LogWriter(std::string dir, const DurabilityOptions& options,
             std::vector<SegmentInfo> recovered_segments);
 
-  struct Pending {
-    std::string frame;      ///< empty for rotate requests
-    uint64_t sequence = 0;  ///< 0 when not a mutating record
-    bool rotate = false;
-    std::promise<Status> done;
-  };
-
-  void WriterLoop();
-  /// Writes+syncs the accumulated frames of `batch[first..last)` as one
-  /// group and fulfils their promises.
-  void CommitGroup(std::vector<Pending>* batch, size_t first, size_t last);
-  /// Seals the current segment (fsync unless kNever) and opens the next.
-  Status RotateLocked();
+  /// Waits until no group is in flight and takes the leader role.
+  void Lead(std::unique_lock<std::mutex>* lock);
+  /// Hands the leader role back and wakes every waiter.
+  void StepDown();
+  /// Leader only: writes everything queued as one group, releasing `lock`
+  /// around the I/O, then publishes the outcome (durable_ or the sticky
+  /// error). A no-op when nothing is queued or an error is sticky.
+  void CommitQueued(std::unique_lock<std::mutex>* lock);
+  /// Leader only, unlocked: writes and syncs one group of `records` frames.
+  Status WriteGroup(std::string_view group, uint64_t records,
+                    uint64_t max_sequence);
+  /// Leader only: seals the current segment (fsync unless kNever) and opens
+  /// the next.
+  Status Rotate();
   Status OpenSegment(uint64_t index);
   Status CloseSegmentFile();
   bool ShouldSync() const {
@@ -128,13 +137,19 @@ class LogWriter {
   const std::string dir_;
   const DurabilityOptions options_;
 
-  std::mutex queue_mutex_;
-  std::condition_variable queue_cv_;
-  std::vector<Pending> queue_;
-  bool stop_ = false;
-  Status sticky_error_;  ///< guarded by queue_mutex_; first I/O failure
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  // Guarded by mutex_. Tickets count records: Enqueue's ticket is
+  // enqueued_ after its records; everything through durable_ is durable.
+  std::string queued_;  ///< frames awaiting the next group
+  uint64_t queued_max_sequence_ = 0;
+  uint64_t enqueued_ = 0;
+  uint64_t durable_ = 0;
+  bool leader_ = false;  ///< a group, rotation or close is in flight
+  bool closed_ = false;
+  Status sticky_error_;  ///< first I/O failure
 
-  // Writer-thread-only state.
+  // Leader-only state (the leader role orders every access).
   int fd_ = -1;
   uint64_t segment_bytes_written_ = 0;
   uint64_t segment_max_sequence_ = 0;
@@ -144,9 +159,6 @@ class LogWriter {
 
   mutable std::mutex segments_mutex_;
   std::vector<SegmentInfo> sealed_segments_;
-
-  std::thread thread_;
-  bool closed_ = false;  ///< guarded by queue_mutex_
 };
 
 }  // namespace ctdb::wal

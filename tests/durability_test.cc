@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "broker/persistence.h"
+#include "testing/counter_growth.h"
 #include "testing/temp_dir.h"
 #include "util/file_util.h"
 #include "wal/segment.h"
@@ -23,12 +24,12 @@
 namespace ctdb::broker {
 namespace {
 
+using ::ctdb::testing::CounterGrowth;
 using ::ctdb::testing::TempDir;
 
 wal::DurabilityOptions FastOptions() {
   wal::DurabilityOptions options;
   options.fsync_policy = wal::FsyncPolicy::kNever;  // tests survive exit()
-  options.group_commit_window = std::chrono::microseconds(50);
   return options;
 }
 
@@ -108,6 +109,30 @@ TEST(DurabilityTest, RegisterBatchIsDurable) {
   auto db = DurableDatabase::Open(dir.path(), FastOptions());
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   ExpectContracts(**db, 8);
+}
+
+TEST(DurabilityTest, RegisterBatchIsOneGroupAndOneFsync) {
+  // The batch's records are enqueued in one call, so they are written and
+  // fsynced together.
+  TempDir dir("durable");
+  wal::DurabilityOptions options;
+  options.fsync_policy = wal::FsyncPolicy::kAlways;
+  auto db = DurableDatabase::Open(dir.path(), options);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  std::vector<ContractDatabase::BatchEntry> entries;
+  for (int i = 0; i < 16; ++i) entries.push_back({NthName(i), NthLtl(i)});
+  const CounterGrowth growth;
+  auto ids = (*db)->RegisterBatch(entries);
+  ASSERT_TRUE(ids.ok()) << ids.status().ToString();
+  if (CTDB_OBS) {
+    EXPECT_EQ(growth("wal.appends"), 16u);
+    EXPECT_EQ(growth("wal.groups"), 1u);
+    EXPECT_EQ(growth("wal.fsyncs"), 1u);
+  }
+  ASSERT_TRUE((*db)->Close().ok());
+  auto recovered = DurableDatabase::Open(dir.path(), FastOptions());
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  ExpectContracts(**recovered, 16);
 }
 
 TEST(DurabilityTest, RegisterAfterCloseFails) {
@@ -375,6 +400,20 @@ TEST(DurabilityTest, CheckpointFileNameRoundTrip) {
   EXPECT_FALSE(ParseCheckpointFileName("checkpoint-12.tmp", &seq));
   EXPECT_FALSE(ParseCheckpointFileName("wal-000000000012.log", &seq));
   EXPECT_FALSE(ParseCheckpointFileName("checkpoint-.ctdb", &seq));
+  // The largest sequence parses; one past it is rejected, not wrapped.
+  ASSERT_TRUE(
+      ParseCheckpointFileName("checkpoint-18446744073709551615.ctdb", &seq));
+  EXPECT_EQ(seq, UINT64_MAX);
+  EXPECT_EQ(CheckpointFileName(UINT64_MAX),
+            "checkpoint-18446744073709551615.ctdb");
+  seq = 7;
+  EXPECT_FALSE(
+      ParseCheckpointFileName("checkpoint-18446744073709551616.ctdb", &seq));
+  EXPECT_FALSE(
+      ParseCheckpointFileName("checkpoint-18446744073709551617.ctdb", &seq));
+  EXPECT_FALSE(
+      ParseCheckpointFileName("checkpoint-99999999999999999999.ctdb", &seq));
+  EXPECT_EQ(seq, 7u);
 }
 
 TEST(DurabilityTest, SaveDatabaseToFileIsAtomicAndLeavesNoTemp) {

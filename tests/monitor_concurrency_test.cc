@@ -27,8 +27,7 @@
 #include "monitor/monitor.h"
 #include "monitor/session.h"
 #include "monitor/types.h"
-#include "obs/metrics.h"
-#include "obs/obs.h"
+#include "testing/counter_growth.h"
 #include "testing/temp_dir.h"
 #include "util/rng.h"
 #include "util/string_util.h"
@@ -37,6 +36,7 @@
 namespace ctdb::monitor {
 namespace {
 
+using ::ctdb::testing::CounterGrowth;
 using ::ctdb::testing::TempDir;
 
 
@@ -71,13 +71,7 @@ TEST(MonitorConcurrencyTest, ConcurrentFirstOpensBuildOnce) {
   std::vector<EventBatch> trace;
   for (int b = 0; b < 6; ++b) trace.push_back(RandomBatch(&rng));
 
-  const bool was_enabled = obs::Enabled();
-  obs::SetEnabled(true);
-  auto builds = [] {
-    return obs::MetricsRegistry::Default()->Snapshot().CounterValue(
-        "monitor.builds");
-  };
-  const uint64_t builds_before = builds();
+  const CounterGrowth growth;
 
   constexpr size_t kThreads = 8;
   std::atomic<size_t> ready{0};
@@ -95,8 +89,7 @@ TEST(MonitorConcurrencyTest, ConcurrentFirstOpensBuildOnce) {
     });
   }
   for (std::thread& t : threads) t.join();
-  const uint64_t built = builds() - builds_before;
-  obs::SetEnabled(was_enabled);
+  const uint64_t built = growth("monitor.builds");
   if (CTDB_OBS) {
     EXPECT_EQ(built, static_cast<uint64_t>(kContracts));
   }

@@ -18,15 +18,15 @@
 #include "broker/database.h"
 #include "broker/durable.h"
 #include "monitor/session.h"
-#include "obs/metrics.h"
-#include "obs/obs.h"
 #include "shard/sharded.h"
+#include "testing/counter_growth.h"
 #include "testing/temp_dir.h"
 #include "wal/wal.h"
 
 namespace ctdb::monitor {
 namespace {
 
+using ::ctdb::testing::CounterGrowth;
 using ::ctdb::testing::TempDir;
 
 wal::DurabilityOptions FastOptions() {
@@ -42,27 +42,6 @@ std::unique_ptr<StreamSession> OpenSession(broker::ContractDatabase* db,
   EXPECT_TRUE(session.ok()) << session.status().ToString();
   return std::move(*session);
 }
-
-/// Growth of the monitor.builds counter since construction, with metrics
-/// switched on meanwhile. Always 0 when observability is compiled out, so
-/// assertions on it sit behind `if (CTDB_OBS)`.
-class BuildCounter {
- public:
-  BuildCounter() : was_enabled_(obs::Enabled()) {
-    obs::SetEnabled(true);
-    before_ = Read();
-  }
-  ~BuildCounter() { obs::SetEnabled(was_enabled_); }
-  uint64_t count() const { return Read() - before_; }
-
- private:
-  static uint64_t Read() {
-    return obs::MetricsRegistry::Default()->Snapshot().CounterValue(
-        "monitor.builds");
-  }
-  bool was_enabled_;
-  uint64_t before_ = 0;
-};
 
 StreamVerdict VerdictOf(const StreamCloseInfo& info, uint32_t id) {
   for (const VerdictDelta& v : info.verdicts) {
@@ -252,12 +231,12 @@ TEST(ContractMonitorTest, SessionsOnOneSnapshotShareMonitors) {
   ASSERT_TRUE(db.Register("c0", "F paid").ok());
   ASSERT_TRUE(db.Register("c1", "G !breach").ok());
   ASSERT_TRUE(db.Register("c2", "G(request -> F grant)").ok());
-  const BuildCounter builds;
+  const CounterGrowth growth;
   std::vector<std::unique_ptr<StreamSession>> sessions;
   for (int i = 0; i < 4; ++i) sessions.push_back(OpenSession(&db));
   // Every version's monitor was built by the first open only.
   if (CTDB_OBS) {
-    EXPECT_EQ(builds.count(), 3u);
+    EXPECT_EQ(growth("monitor.builds"), 3u);
   }
   for (size_t c = 0; c < 3; ++c) {
     for (const auto& session : sessions) {
@@ -277,12 +256,12 @@ TEST(ContractMonitorTest, SessionsOnOneSnapshotShareMonitors) {
 TEST(ContractMonitorTest, ReplaceBuildsANewMonitorAndOldPinsKeepTheirs) {
   broker::ContractDatabase db;
   ASSERT_TRUE(db.Register("c0", "F paid").ok());
-  const BuildCounter builds;
+  const CounterGrowth growth;
   auto before = OpenSession(&db);
   ASSERT_TRUE(db.Replace(0, "G !paid").ok());
   auto after = OpenSession(&db);
   if (CTDB_OBS) {
-    EXPECT_EQ(builds.count(), 2u);
+    EXPECT_EQ(growth("monitor.builds"), 2u);
   }
   EXPECT_NE(&before->monitor(0), &after->monitor(0));
 
@@ -302,14 +281,14 @@ TEST(ContractMonitorTest, AsOfSessionBuildsHistoryMonitors) {
   const std::vector<const broker::Contract*> history = snapshot->VisibleAt(t1);
   ASSERT_EQ(history.size(), 1u);
 
-  const BuildCounter builds;
+  const CounterGrowth growth;
   StreamOptions at_t1;
   at_t1.as_of = t1;
   auto first = StreamSession::Open(snapshot, at_t1);
   auto second = StreamSession::Open(snapshot, at_t1);
   ASSERT_TRUE(first.ok() && second.ok());
   if (CTDB_OBS) {
-    EXPECT_EQ(builds.count(), 1u);
+    EXPECT_EQ(growth("monitor.builds"), 1u);
   }
   EXPECT_EQ(&(*first)->monitor(0), &ContractMonitor::Of(*history[0]));
   EXPECT_EQ(&(*second)->monitor(0), &(*first)->monitor(0));

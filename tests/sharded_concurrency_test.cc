@@ -82,18 +82,23 @@ TEST(ShardedConcurrencyTest, ReadersWritersAndCheckpointersInterleave) {
   }
 
   std::atomic<bool> stop{false};
+  std::atomic<bool> reading{false};
   std::atomic<int> queries_ok{0};
 
   std::thread writer([&] {
     for (int i = 0; i < 30; ++i) {
       ASSERT_TRUE(db->Register("w" + std::to_string(i), NthLtl(i)).ok());
     }
+    // A commit does its own WAL write, so the 30 registrations can finish
+    // before any reader is scheduled; stop the readers only once one runs.
+    while (!reading.load(std::memory_order_acquire)) std::this_thread::yield();
     stop.store(true, std::memory_order_release);
   });
   std::vector<std::thread> readers;
   for (int r = 0; r < 3; ++r) {
     readers.emplace_back([&] {
       while (!stop.load(std::memory_order_acquire)) {
+        reading.store(true, std::memory_order_release);
         auto result = db->Query("F pay");
         ASSERT_TRUE(result.ok()) << result.status().ToString();
         // Snapshot isolation per shard: a result never exceeds the total.

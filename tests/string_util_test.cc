@@ -34,6 +34,22 @@ TEST(StringUtilTest, StartsWith) {
   EXPECT_FALSE(StartsWith("", "a"));
 }
 
+TEST(StringUtilTest, ParseUint64RejectsOverflowAndNonDigits) {
+  uint64_t value = 0;
+  ASSERT_TRUE(ParseUint64("000042", &value));
+  EXPECT_EQ(value, 42u);
+  ASSERT_TRUE(ParseUint64("18446744073709551615", &value));
+  EXPECT_EQ(value, UINT64_MAX);
+  value = 7;
+  EXPECT_FALSE(ParseUint64("18446744073709551616", &value));
+  EXPECT_FALSE(ParseUint64("", &value));
+  EXPECT_FALSE(ParseUint64("-1", &value));
+  EXPECT_FALSE(ParseUint64("+1", &value));
+  EXPECT_FALSE(ParseUint64(" 1", &value));
+  EXPECT_FALSE(ParseUint64("1x", &value));
+  EXPECT_EQ(value, 7u);
+}
+
 TEST(StringUtilTest, StringFormat) {
   EXPECT_EQ(StringFormat("%d-%s", 42, "x"), "42-x");
   EXPECT_EQ(StringFormat("%.2f", 3.14159), "3.14");

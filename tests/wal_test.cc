@@ -204,6 +204,10 @@ TEST(WalSegmentTest, FileNameRoundTrip) {
   EXPECT_EQ(index, 42u);
   ASSERT_TRUE(ParseSegmentFileName(SegmentFileName(0), &index));
   EXPECT_EQ(index, 0u);
+  // The largest index round-trips.
+  EXPECT_EQ(SegmentFileName(UINT64_MAX), "wal-18446744073709551615.log");
+  ASSERT_TRUE(ParseSegmentFileName(SegmentFileName(UINT64_MAX), &index));
+  EXPECT_EQ(index, UINT64_MAX);
 }
 
 TEST(WalSegmentTest, FileNameOrderIsAppendOrder) {
@@ -218,6 +222,12 @@ TEST(WalSegmentTest, ParseFileNameRejectsForeignNames) {
   EXPECT_FALSE(ParseSegmentFileName("wal-000000000042.log.tmp", &index));
   EXPECT_FALSE(ParseSegmentFileName("checkpoint-000000000042.ctdb", &index));
   EXPECT_FALSE(ParseSegmentFileName("", &index));
+  // Numbers past 2^64-1 are rejected, not wrapped onto another index.
+  index = 7;
+  EXPECT_FALSE(ParseSegmentFileName("wal-18446744073709551616.log", &index));
+  EXPECT_FALSE(ParseSegmentFileName("wal-99999999999999999999.log", &index));
+  EXPECT_FALSE(ParseSegmentFileName("wal-+42.log", &index));
+  EXPECT_EQ(index, 7u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 // Tests for the group-commit log writer: durability of acknowledged
 // appends, ordering, rotation (by size and on request), every fsync policy,
-// concurrent appenders sharing groups, and checkpoint-driven segment
-// deletion. Runs under TSan in CI (the `Wal` filter) — the concurrency
-// tests here are the data-race canary for the writer thread.
+// how appends form groups, Close, and checkpoint-driven segment deletion.
+// Runs under TSan in CI (the `Wal` filter) — the concurrency tests here are
+// the data-race canary for the leader hand-off.
 
 #include "wal/writer.h"
 
@@ -10,12 +10,16 @@
 
 #include <algorithm>
 #include <atomic>
-#include <future>
+#include <condition_variable>
+#include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
+#include "testing/counter_growth.h"
 #include "testing/temp_dir.h"
+#include "util/crash_point.h"
 #include "util/file_util.h"
 #include "wal/record.h"
 #include "wal/segment.h"
@@ -24,6 +28,7 @@
 namespace ctdb::wal {
 namespace {
 
+using ::ctdb::testing::CounterGrowth;
 using ::ctdb::testing::TempDir;
 
 /// Reads and parses every segment in `dir` in index order, concatenating
@@ -61,13 +66,11 @@ Record Reg(uint64_t seq, std::string name, std::string ltl) {
 DurabilityOptions FastOptions(FsyncPolicy policy) {
   DurabilityOptions options;
   options.fsync_policy = policy;
-  options.group_commit_window = std::chrono::microseconds(100);
   return options;
 }
 
 TEST(WalWriterTest, AppendReadBackRoundTrip) {
-  for (const FsyncPolicy policy :
-       {FsyncPolicy::kAlways, FsyncPolicy::kGroup, FsyncPolicy::kNever}) {
+  for (const FsyncPolicy policy : {FsyncPolicy::kAlways, FsyncPolicy::kNever}) {
     TempDir dir("walwriter");
     auto writer = LogWriter::Open(dir.path(), 1, FastOptions(policy));
     ASSERT_TRUE(writer.ok()) << writer.status().ToString();
@@ -98,15 +101,15 @@ TEST(WalWriterTest, AcknowledgedAppendIsOnDiskBeforeClose) {
 
 TEST(WalWriterTest, ConcurrentAppendersAllDurableInSequenceOrder) {
   TempDir dir("walwriter");
-  auto writer = LogWriter::Open(dir.path(), 1, FastOptions(FsyncPolicy::kGroup));
+  auto writer = LogWriter::Open(dir.path(), 1, FastOptions(FsyncPolicy::kAlways));
   ASSERT_TRUE(writer.ok()) << writer.status().ToString();
 
   constexpr int kThreads = 8;
   constexpr int kPerThread = 50;
-  // Mimic the broker: a shared counter assigns sequences and the enqueue
-  // happens in sequence order (the broker holds its append mutex across
-  // apply+enqueue; here the atomic fetch_add inside AppendAsync's caller
-  // loop is raced, so we only check the SET, not the order).
+  // Mimic the broker: a shared counter assigns sequences (the broker holds
+  // its append mutex across apply+enqueue so the enqueue happens in
+  // sequence order; here the fetch_add and the Append race, so we only
+  // check the SET, not the order).
   std::atomic<uint64_t> next{1};
   std::vector<std::thread> threads;
   std::atomic<int> failures{0};
@@ -242,22 +245,132 @@ TEST(WalWriterTest, TracksBytesSinceCheckpoint) {
   ASSERT_TRUE((*writer)->Close().ok());
 }
 
-TEST(WalWriterTest, AsyncAppendsShareOneGroup) {
-  // Enqueue a burst without waiting, then wait for all: with a group window
-  // the batch should land in far fewer groups than records (not asserted on
-  // a metric — just that every future resolves Ok and the log is complete).
+TEST(WalWriterTest, RecordsEnqueuedBeforeAnyWaitFormOneGroup) {
   TempDir dir("walwriter");
-  auto writer = LogWriter::Open(dir.path(), 1, FastOptions(FsyncPolicy::kGroup));
+  auto writer = LogWriter::Open(dir.path(), 1, FastOptions(FsyncPolicy::kAlways));
   ASSERT_TRUE(writer.ok()) << writer.status().ToString();
-  std::vector<std::future<Status>> futures;
-  futures.reserve(100);
+  const CounterGrowth growth;
+  std::vector<Record> written;
+  std::vector<uint64_t> tickets;
   for (uint64_t seq = 1; seq <= 100; ++seq) {
-    futures.push_back((*writer)->AppendAsync(
-        Reg(seq, "c" + std::to_string(seq), "F p")));
+    written.push_back(Reg(seq, "c" + std::to_string(seq), "F p"));
+    auto ticket = (*writer)->Enqueue({&written.back(), 1});
+    ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
+    tickets.push_back(*ticket);
   }
-  for (auto& f : futures) EXPECT_TRUE(f.get().ok());
+  // Enqueue does no I/O: nothing is written until someone waits.
+  EXPECT_TRUE(ReadLog(dir.path()).empty());
+  // The first waiter leads one group holding everything queued; the others
+  // find their records already durable.
+  EXPECT_TRUE((*writer)->Wait(tickets.back()).ok());
+  for (const uint64_t ticket : tickets) {
+    EXPECT_TRUE((*writer)->Wait(ticket).ok());
+  }
+  if (CTDB_OBS) {
+    EXPECT_EQ(growth("wal.appends"), 100u);
+    EXPECT_EQ(growth("wal.groups"), 1u);
+    EXPECT_EQ(growth("wal.fsyncs"), 1u);
+  }
   ASSERT_TRUE((*writer)->Close().ok());
-  EXPECT_EQ(ReadLog(dir.path()).size(), 100u);
+  EXPECT_EQ(ReadLog(dir.path()), written);
+}
+
+/// Crash-point hook that holds the first leader to finish a write at
+/// wal.writer.after_write until Release, so a test can enqueue behind it.
+class HoldFirstWrite {
+ public:
+  HoldFirstWrite() { util::SetCrashPointHook(&Hook); }
+  ~HoldFirstWrite() {
+    Release();
+    util::SetCrashPointHook(nullptr);
+    std::lock_guard<std::mutex> lock(mutex_);
+    held_ = released_ = false;
+  }
+  HoldFirstWrite(const HoldFirstWrite&) = delete;
+  HoldFirstWrite& operator=(const HoldFirstWrite&) = delete;
+
+  void AwaitHeld() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait(lock, [] { return held_; });
+  }
+
+  void Release() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  static void Hook(const char* site) {
+    if (std::string_view(site) != "wal.writer.after_write") return;
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (held_) return;  // only the first write is held
+    held_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [] { return released_; });
+  }
+
+  static inline std::mutex mutex_;
+  static inline std::condition_variable cv_;
+  static inline bool held_ = false;
+  static inline bool released_ = false;
+};
+
+TEST(WalWriterTest, AppendersArrivingDuringAWriteShareTheNextGroup) {
+  TempDir dir("walwriter");
+  auto writer = LogWriter::Open(dir.path(), 1, FastOptions(FsyncPolicy::kAlways));
+  ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+  const CounterGrowth growth;
+  HoldFirstWrite hold;
+
+  // The first appender leads a group of one and is held inside its write.
+  std::thread leader([&] {
+    EXPECT_TRUE((*writer)->Append(Reg(1, "lead", "F p")).ok());
+  });
+  hold.AwaitHeld();
+
+  // Meanwhile every follower enqueues and waits behind the busy leader.
+  constexpr int kFollowers = 4;
+  std::atomic<int> enqueued{0};
+  std::vector<std::thread> followers;
+  for (int i = 0; i < kFollowers; ++i) {
+    followers.emplace_back([&, i] {
+      const Record record = Reg(2 + i, "follow" + std::to_string(i), "F q");
+      auto ticket = (*writer)->Enqueue({&record, 1});
+      enqueued.fetch_add(1);
+      ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
+      EXPECT_TRUE((*writer)->Wait(*ticket).ok());
+    });
+  }
+  while (enqueued.load() < kFollowers) std::this_thread::yield();
+  hold.Release();
+  leader.join();
+  for (std::thread& t : followers) t.join();
+
+  // One group for the leader, exactly one more for all the followers.
+  if (CTDB_OBS) {
+    EXPECT_EQ(growth("wal.appends"), 1u + kFollowers);
+    EXPECT_EQ(growth("wal.groups"), 2u);
+    EXPECT_EQ(growth("wal.fsyncs"), 2u);
+  }
+  ASSERT_TRUE((*writer)->Close().ok());
+  const std::vector<Record> records = ReadLog(dir.path());
+  ASSERT_EQ(records.size(), 1u + kFollowers);
+  EXPECT_EQ(records[0].name, "lead");
+}
+
+TEST(WalWriterTest, CloseWritesEverythingEnqueuedBeforeIt) {
+  TempDir dir("walwriter");
+  auto writer = LogWriter::Open(dir.path(), 1, FastOptions(FsyncPolicy::kAlways));
+  ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+  const Record record = Reg(1, "a", "F p");
+  auto ticket = (*writer)->Enqueue({&record, 1});
+  ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
+  ASSERT_TRUE((*writer)->Close().ok());
+  EXPECT_TRUE((*writer)->Wait(*ticket).ok());
+  const Record late = Reg(2, "b", "F q");
+  EXPECT_TRUE((*writer)->Enqueue({&late, 1}).status().IsUnavailable());
+  EXPECT_EQ(ReadLog(dir.path()), std::vector<Record>{record});
 }
 
 }  // namespace

@@ -49,7 +49,7 @@ int Usage(const char* argv0) {
       stderr,
       "usage: %s --dir=PATH [--host=127.0.0.1] [--port=0]\n"
       "          [--workers=4] [--db-threads=1] [--max-pending=256]\n"
-      "          [--max-connections=1024] [--fsync=group|always|never]\n"
+      "          [--max-connections=1024] [--fsync=always|never]\n"
       "          [--checkpoint-log-bytes=N] [--metrics-out=PATH]\n"
       "          [--shards=N]  (0 adopts the directory's manifest)\n",
       argv0);
@@ -88,8 +88,6 @@ int main(int argc, char** argv) {
     } else if (ParseFlag(arg, "--fsync", &value)) {
       if (value == "always") {
         durability.fsync_policy = ctdb::wal::FsyncPolicy::kAlways;
-      } else if (value == "group") {
-        durability.fsync_policy = ctdb::wal::FsyncPolicy::kGroup;
       } else if (value == "never") {
         durability.fsync_policy = ctdb::wal::FsyncPolicy::kNever;
       } else {
