@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
 #include <unordered_map>
 
 #include "util/hash.h"
@@ -34,6 +35,24 @@ bool Partition::Refines(const Partition& coarser) const {
   return true;
 }
 
+Partition Partition::Meet(const Partition& other) const {
+  assert(block_of.size() == other.block_of.size());
+  Partition meet;
+  meet.block_of.resize(block_of.size());
+  std::unordered_map<uint64_t, uint32_t> block_of_pair;
+  block_of_pair.reserve(block_of.size());
+  for (size_t s = 0; s < block_of.size(); ++s) {
+    const uint64_t pair =
+        (static_cast<uint64_t>(block_of[s]) << 32) | other.block_of[s];
+    meet.block_of[s] =
+        block_of_pair
+            .try_emplace(pair, static_cast<uint32_t>(block_of_pair.size()))
+            .first->second;
+  }
+  meet.block_count = static_cast<uint32_t>(block_of_pair.size());
+  return meet;
+}
+
 Partition Partition::Discrete(size_t n) {
   Partition p;
   p.block_of.resize(n);
@@ -53,81 +72,89 @@ Partition Partition::FinalSplit(const Buchi& ba) {
   return p;
 }
 
-Partition CoarsestBisimulation(const Buchi& ba,
-                               const BisimulationOptions& options) {
-  const size_t n = ba.StateCount();
-  Partition part =
-      options.start != nullptr ? *options.start : Partition::FinalSplit(ba);
+LabeledTransitions LabeledTransitions::Of(const Buchi& ba,
+                                          std::vector<Label>* labels) {
+  LabeledTransitions moves;
+  moves.first.reserve(ba.StateCount() + 1);
+  moves.label.reserve(ba.TransitionCount());
+  moves.to.reserve(ba.TransitionCount());
+  labels->clear();
+  std::unordered_map<uint64_t, std::vector<uint32_t>> ids_by_hash;
+  for (StateId s = 0; s < ba.StateCount(); ++s) {
+    moves.first.push_back(static_cast<uint32_t>(moves.label.size()));
+    for (const Transition& t : ba.Out(s)) {
+      std::vector<uint32_t>& bucket = ids_by_hash[t.label.Hash()];
+      auto it = std::find_if(bucket.begin(), bucket.end(), [&](uint32_t id) {
+        return (*labels)[id] == t.label;
+      });
+      if (it == bucket.end()) {
+        bucket.push_back(static_cast<uint32_t>(labels->size()));
+        labels->push_back(t.label);
+        it = bucket.end() - 1;
+      }
+      moves.label.push_back(*it);
+      moves.to.push_back(t.to);
+    }
+  }
+  moves.first.push_back(static_cast<uint32_t>(moves.label.size()));
+  return moves;
+}
+
+Partition RefineToBisimulation(const LabeledTransitions& moves,
+                               const std::vector<uint32_t>& label_class,
+                               Partition part) {
+  const size_t n = moves.StateCount();
   assert(part.block_of.size() == n);
   part.Canonicalize();
 
-  // Intern (possibly projected) labels to dense ids once.
-  struct LabelRef {
-    uint32_t label_id;
-    StateId to;
-  };
-  std::vector<std::vector<LabelRef>> out(n);
-  {
-    std::unordered_map<uint64_t, std::vector<std::pair<Label, uint32_t>>>
-        intern;
-    uint32_t next_label = 0;
-    auto intern_label = [&](const Label& raw) -> uint32_t {
-      Label label = raw;
-      if (options.retained_pos != nullptr && options.retained_neg != nullptr) {
-        label = raw.ProjectOnto(*options.retained_pos, *options.retained_neg);
-      }
-      auto& bucket = intern[label.Hash()];
-      for (const auto& [existing, id] : bucket) {
-        if (existing == label) return id;
-      }
-      bucket.emplace_back(label, next_label);
-      return next_label++;
-    };
-    for (StateId s = 0; s < n; ++s) {
-      for (const Transition& t : ba.Out(s)) {
-        out[s].push_back(LabelRef{intern_label(t.label), t.to});
-      }
-    }
+  // Signatures are word-packed: word 0 is the state's current block, then
+  // its sorted distinct moves, each one word (label class in the high half,
+  // target block in the low half), so hashing and equality run over machine
+  // words. The class halves are fixed, so they are looked up once.
+  std::vector<uint64_t> class_word(moves.label.size());
+  for (size_t t = 0; t < class_word.size(); ++t) {
+    class_word[t] = static_cast<uint64_t>(label_class[moves.label[t]]) << 32;
   }
-
-  // Signature refinement to fixpoint. Signatures are word-packed: each move
-  // is one uint64 (label id in the high word, target block in the low word),
-  // so building a signature is append + sort + unique over machine words and
-  // hashing/equality run word-parallel (util::U64VectorHash) instead of
-  // walking (label, block) pair structs. The scratch vector is reused across
-  // states — a heap allocation happens only when a new block is minted.
   std::vector<uint64_t> sig;
+  std::vector<uint32_t> block_size;
   while (true) {
-    bool changed = false;
+    block_size.assign(part.block_count, 0);
+    for (uint32_t b : part.block_of) ++block_size[b];
     std::unordered_map<std::vector<uint64_t>, uint32_t, U64VectorHash>
-        sig_to_block;
-    sig_to_block.reserve(part.block_count * 2);
-    std::vector<uint32_t> new_block(n);
-    uint32_t next_block = 0;
-    for (StateId s = 0; s < n; ++s) {
-      sig.clear();
-      sig.reserve(1 + out[s].size());
-      // Word 0: the state's current block; then sorted distinct packed moves.
-      sig.push_back(part.block_of[s]);
-      for (const LabelRef& r : out[s]) {
-        sig.push_back((static_cast<uint64_t>(r.label_id) << 32) |
-                      part.block_of[r.to]);
+        block_of_sig;
+    block_of_sig.reserve(part.block_count * 2);
+    std::vector<uint32_t> next(n);
+    for (size_t s = 0; s < n; ++s) {
+      sig.assign(1, part.block_of[s]);
+      // A state alone in its block cannot split: its block is signature
+      // enough.
+      if (block_size[part.block_of[s]] > 1) {
+        for (uint32_t t = moves.first[s]; t < moves.first[s + 1]; ++t) {
+          sig.push_back(class_word[t] | part.block_of[moves.to[t]]);
+        }
+        std::sort(sig.begin() + 1, sig.end());
+        sig.erase(std::unique(sig.begin() + 1, sig.end()), sig.end());
       }
-      std::sort(sig.begin() + 1, sig.end());
-      sig.erase(std::unique(sig.begin() + 1, sig.end()), sig.end());
-      auto it = sig_to_block.find(sig);
-      if (it == sig_to_block.end()) {
-        it = sig_to_block.emplace(sig, next_block++).first;
-      }
-      new_block[s] = it->second;
+      next[s] = block_of_sig
+                    .try_emplace(sig, static_cast<uint32_t>(block_of_sig.size()))
+                    .first->second;
     }
-    if (next_block != part.block_count) changed = true;
-    part.block_of = std::move(new_block);
-    part.block_count = next_block;
-    if (!changed) break;
+    // Word 0 keeps every state in its block, so the new partition refines
+    // the old one: an equal block count means nothing split.
+    const bool stable = block_of_sig.size() == part.block_count;
+    part.block_of = std::move(next);
+    part.block_count = static_cast<uint32_t>(block_of_sig.size());
+    if (stable) return part;
   }
-  part.Canonicalize();
-  return part;
+}
+
+Partition CoarsestBisimulation(const Buchi& ba, const Partition* start) {
+  std::vector<Label> labels;
+  const LabeledTransitions moves = LabeledTransitions::Of(ba, &labels);
+  std::vector<uint32_t> own_class(labels.size());
+  std::iota(own_class.begin(), own_class.end(), 0u);
+  return RefineToBisimulation(
+      moves, own_class, start != nullptr ? *start : Partition::FinalSplit(ba));
 }
 
 }  // namespace ctdb::automata

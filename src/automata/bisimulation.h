@@ -2,15 +2,20 @@
 //
 // Computes the coarsest partition of a BA's states such that two states in a
 // block (1) agree on finality and (2) have matching outgoing transitions
-// (same label, into the same block). Labels can be projected onto a retained
-// literal set on the fly, so the projection BAs of Section 5 never need to be
-// materialized during precomputation.
+// (same label, into the same block).
 //
-// The refinement loop is signature-based (Kanellakis–Smolka): each round
-// recomputes, per state, the set of (label, target-block) pairs and splits
-// blocks whose states disagree. An optional starting partition supports the
-// lattice-order precomputation of Section 5.3 (Theorem 3: the partition for
-// L' ⊇ L refines the partition for L, so refinement may start from it).
+// There is one refinement loop, RefineToBisimulation. It sees labels only
+// as class ids: transitions whose labels share a class count as equally
+// labelled. CoarsestBisimulation gives every distinct label its own class.
+// The projection store (projection/store.h) gives labels that agree on a
+// retained event set the same class, which runs the loop on π_L(A) without
+// building it.
+//
+// The loop is signature-based (Kanellakis–Smolka): each round recomputes,
+// per state, the set of (label class, target-block) pairs and splits blocks
+// whose states disagree. It starts from a given partition, which supports
+// the lattice-order precomputation of Section 5.3 (Theorem 3: the partition
+// for L' ⊇ L refines the partition for L, so refinement may start from it).
 
 #pragma once
 
@@ -18,7 +23,6 @@
 #include <vector>
 
 #include "automata/buchi.h"
-#include "util/bitset.h"
 
 namespace ctdb::automata {
 
@@ -40,27 +44,43 @@ struct Partition {
   /// contained in a block of `coarser`).
   bool Refines(const Partition& coarser) const;
 
+  /// The common refinement of this and `other`, canonical: two states share
+  /// a block iff they share one in both.
+  Partition Meet(const Partition& other) const;
+
   /// The partition with every state in its own block.
   static Partition Discrete(size_t n);
   /// The partition separating final from non-final states of `ba`.
   static Partition FinalSplit(const Buchi& ba);
 };
 
-/// Options for CoarsestBisimulation.
-struct BisimulationOptions {
-  /// When non-null, labels are first projected onto these retained polarities
-  /// (see Label::ProjectOnto) before comparison — equivalent to running on
-  /// π_L(A) without building it.
-  const Bitset* retained_pos = nullptr;
-  const Bitset* retained_neg = nullptr;
-  /// When non-null, refinement starts from this partition instead of the
-  /// final/non-final split. Must itself refine the final split.
-  const Partition* start = nullptr;
+/// \brief A BA's transitions with each label replaced by a dense id, grouped
+/// by source state: state s's transitions are [first[s], first[s + 1]) of
+/// `label` and `to`.
+struct LabeledTransitions {
+  std::vector<uint32_t> first;
+  std::vector<uint32_t> label;
+  std::vector<StateId> to;
+
+  size_t StateCount() const { return first.size() - 1; }
+
+  /// Lists `ba`'s transitions. Label ids are assigned in order of first
+  /// occurrence; `labels[id]` is the label with that id.
+  static LabeledTransitions Of(const Buchi& ba, std::vector<Label>* labels);
 };
 
-/// \brief Computes the coarsest bisimulation partition of `ba` under
-/// `options` (Definition 9, with label projection per Definition 8).
+/// \brief The coarsest bisimulation partition refining `start`, where a
+/// transition whose label id is l counts as labelled `label_class[l]`.
+/// `start` must itself refine the final split.
+Partition RefineToBisimulation(const LabeledTransitions& moves,
+                               const std::vector<uint32_t>& label_class,
+                               Partition start);
+
+/// \brief Computes the coarsest bisimulation partition of `ba` with every
+/// distinct label its own class (Definition 9). Refinement starts from
+/// `start` when non-null, which must itself refine the final split, and from
+/// the final/non-final split otherwise.
 Partition CoarsestBisimulation(const Buchi& ba,
-                               const BisimulationOptions& options = {});
+                               const Partition* start = nullptr);
 
 }  // namespace ctdb::automata

@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <cassert>
 #include <mutex>
+#include <optional>
+#include <utility>
 
 #include "automata/quotient.h"
 #include "obs/metrics.h"
@@ -14,7 +15,6 @@
 namespace ctdb::projection {
 
 using automata::Buchi;
-using automata::CoarsestBisimulation;
 using automata::Partition;
 
 namespace {
@@ -43,6 +43,32 @@ class PartitionInterner {
   std::vector<Partition>* partitions_;
   std::unordered_map<uint64_t, std::vector<uint32_t>> buckets_;
 };
+
+/// Assigns each distinct label its class under the projection onto `mask`
+/// and returns the class count: labels share a class iff they agree on the
+/// masked events in both polarities. Classes are numbered in order of first
+/// occurrence.
+uint32_t ClassesUnder(uint64_t mask, const std::vector<uint64_t>& pos,
+                      const std::vector<uint64_t>& neg,
+                      std::vector<uint32_t>* class_of) {
+  struct WordPairHash {
+    size_t operator()(const std::pair<uint64_t, uint64_t>& p) const {
+      return static_cast<size_t>(HashCombine(p.first, p.second));
+    }
+  };
+  std::unordered_map<std::pair<uint64_t, uint64_t>, uint32_t, WordPairHash>
+      class_of_pair;
+  class_of_pair.reserve(pos.size());
+  class_of->resize(pos.size());
+  for (size_t l = 0; l < pos.size(); ++l) {
+    (*class_of)[l] =
+        class_of_pair
+            .try_emplace({pos[l] & mask, neg[l] & mask},
+                         static_cast<uint32_t>(class_of_pair.size()))
+            .first->second;
+  }
+  return static_cast<uint32_t>(class_of_pair.size());
+}
 
 }  // namespace
 
@@ -105,7 +131,6 @@ ContractProjections ContractProjections::Precompute(
     Buchi ba, const ProjectionStoreOptions& options, util::ThreadPool* pool) {
   ContractProjections store;
   store.ba_ = std::move(ba);
-  store.quotients_ = std::make_unique<QuotientCache>();
   const Buchi& automaton = store.ba_;
 
   const Bitset cited = automaton.CitedEvents();
@@ -113,39 +138,46 @@ ContractProjections ContractProjections::Precompute(
     store.event_list_.push_back(static_cast<EventId>(e));
   }
   const size_t m = store.event_list_.size();
-  assert(m <= 64 && "contracts citing > 64 events are not supported");
-  store.full_mask_ = m == 64 ? ~EventMask{0} : (EventMask{1} << m) - 1;
-
   store.stats_.cited_events = m;
   store.stats_.original_states = automaton.StateCount();
+  // Masks are one word: a contract citing more events keeps no projections,
+  // and ForQueryEvents returns the registered automaton, as with WrapOnly.
+  if (m > kMaxMaskEvents) return store;
+  store.quotients_ = std::make_unique<QuotientCache>();
+  store.full_mask_ = m == kMaxMaskEvents ? ~EventMask{0}
+                                         : (EventMask{1} << m) - 1;
 
-  const bool enumerate_all = m <= options.max_enumerated_events;
-  PartitionInterner interner(&store.partitions_);
-
-  // Base of the lattice: the empty projection (all labels become `true`).
-  {
-    Bitset none;
-    automata::BisimulationOptions bisim;
-    bisim.retained_pos = &none;
-    bisim.retained_neg = &none;
-    Partition base = CoarsestBisimulation(automaton, bisim);
-    const uint32_t id = interner.Intern(std::move(base));
-    store.partition_of_.emplace(EventMask{0}, id);
-    ++store.stats_.subsets_computed;
+  // Word tables, scratch for this call: each distinct label as (pos, neg)
+  // masks over the cited events, and each transition as (label id, target).
+  // A label's class under mask M is its pair (pos & M, neg & M).
+  std::vector<Label> labels;
+  const automata::LabeledTransitions moves =
+      automata::LabeledTransitions::Of(automaton, &labels);
+  std::vector<EventMask> pos(labels.size());
+  std::vector<EventMask> neg(labels.size());
+  for (size_t l = 0; l < labels.size(); ++l) {
+    for (size_t i = 0; i < m; ++i) {
+      const EventMask bit = EventMask{1} << i;
+      if (labels[l].positive().Test(store.event_list_[i])) pos[l] |= bit;
+      if (labels[l].negative().Test(store.event_list_[i])) neg[l] |= bit;
+    }
   }
 
-  // Enumerate masks in popcount order so every mask's parent (mask without
-  // its highest bit) is already computed — Theorem 3 makes the parent's
-  // partition a valid refinement starting point.
+  // P(full) refines every P(M) (Theorem 3), so it bounds each mask below.
+  std::vector<uint32_t> full_classes;
+  ClassesUnder(store.full_mask_, pos, neg, &full_classes);
+  const Partition full = automata::RefineToBisimulation(
+      moves, full_classes, Partition::FinalSplit(automaton));
+
   std::vector<EventMask> masks;
-  if (enumerate_all) {
-    for (EventMask mask = 1; mask <= store.full_mask_ && store.full_mask_ != 0;
-         ++mask) {
+  if (m <= options.max_enumerated_events) {
+    for (EventMask mask = 0; mask <= store.full_mask_; ++mask) {
       masks.push_back(mask);
     }
   } else {
     // Subsets up to max_subset_size, plus the full set.
     std::vector<EventMask> current{0};
+    masks.push_back(0);
     for (size_t size = 1; size <= options.max_subset_size; ++size) {
       std::vector<EventMask> next;
       for (EventMask base : current) {
@@ -158,7 +190,7 @@ ContractProjections ContractProjections::Precompute(
       masks.insert(masks.end(), next.begin(), next.end());
       current = std::move(next);
     }
-    if (store.full_mask_ != 0) masks.push_back(store.full_mask_);
+    masks.push_back(store.full_mask_);
   }
   std::sort(masks.begin(), masks.end(), [](EventMask a, EventMask b) {
     const int pa = std::popcount(a);
@@ -167,37 +199,48 @@ ContractProjections ContractProjections::Precompute(
   });
   masks.erase(std::unique(masks.begin(), masks.end()), masks.end());
 
-  // Computes the partition for one mask. Reads only partitions committed
-  // for strictly smaller popcounts (a refinement parent is the mask with
-  // bits removed), so all masks of one popcount level are independent and
-  // can run concurrently while lower levels are already committed.
-  auto compute_mask = [&store, &automaton](EventMask mask) -> Partition {
-    // Parent: drop the highest bit; walk down until a computed entry is found
-    // (always terminates at the empty mask).
-    EventMask parent = mask;
-    const Partition* start = nullptr;
-    while (true) {
-      const int high = 63 - std::countl_zero(parent);
-      parent &= ~(EventMask{1} << high);
-      auto it = store.partition_of_.find(parent);
-      if (it != store.partition_of_.end()) {
-        start = &store.partitions_[it->second];
-        break;
+  // The partition for one mask, with its label-class count and whether it
+  // took a refinement. Three rules settle most masks without one:
+  //  - if M's labels fall into as many classes as under an immediate
+  //    sub-mask M', they fall into the same classes, so P(M) = P(M');
+  //  - otherwise P(M) refines P(M') for every immediate sub-mask M'
+  //    (Theorem 3), so refinement starts from their meet;
+  //  - P(full) refines P(M), so a meet with as many blocks as P(full) is
+  //    already P(M) = P(full).
+  // Reads only masks committed at strictly smaller popcounts and P(full),
+  // so all masks of one popcount level can run concurrently.
+  struct MaskResult {
+    Partition partition;
+    uint32_t classes = 0;
+    bool refined = false;
+  };
+  std::unordered_map<EventMask, uint32_t> classes_of;  // committed masks
+  auto compute_mask = [&](EventMask mask) -> MaskResult {
+    std::vector<uint32_t> class_of;
+    const uint32_t classes = ClassesUnder(mask, pos, neg, &class_of);
+    if (mask == store.full_mask_) return {full, classes, false};
+    std::optional<Partition> start;
+    for (EventMask bits = mask; bits != 0; bits &= bits - 1) {
+      const EventMask sub = mask & ~(EventMask{1} << std::countr_zero(bits));
+      auto it = store.partition_of_.find(sub);
+      if (it == store.partition_of_.end()) continue;
+      const Partition& sub_partition = store.partitions_[it->second];
+      if (classes_of.at(sub) == classes) {
+        return {sub_partition, classes, false};
       }
-      if (parent == 0) break;
+      start = start ? start->Meet(sub_partition) : sub_partition;
     }
-
-    const Bitset retained = store.EventsOf(mask);
-    automata::BisimulationOptions bisim;
-    bisim.retained_pos = &retained;
-    bisim.retained_neg = &retained;
-    bisim.start = start;
-    return CoarsestBisimulation(automaton, bisim);
+    if (!start) start = Partition::FinalSplit(automaton);
+    if (start->block_count == full.block_count) return {full, classes, false};
+    return {automata::RefineToBisimulation(moves, class_of, std::move(*start)),
+            classes, true};
   };
 
   // Walk the lattice level by level; commit serially in mask order so the
   // interned partition ids — and thus the whole store — are identical to a
   // fully serial precomputation regardless of the pool.
+  PartitionInterner interner(&store.partitions_);
+  [[maybe_unused]] size_t refinements = 1;  // P(full)
   size_t level_start = 0;
   while (level_start < masks.size()) {
     size_t level_end = level_start + 1;
@@ -206,7 +249,7 @@ ContractProjections ContractProjections::Precompute(
       ++level_end;
     }
     const size_t count = level_end - level_start;
-    std::vector<Partition> computed(count);
+    std::vector<MaskResult> computed(count);
     bool parallel_ok = false;
     if (pool != nullptr && count > 1) {
       const Status status =
@@ -225,27 +268,24 @@ ContractProjections ContractProjections::Precompute(
       }
     }
     for (size_t k = 0; k < count; ++k) {
-      const uint32_t id = interner.Intern(std::move(computed[k]));
-      store.partition_of_.emplace(masks[level_start + k], id);
-      ++store.stats_.subsets_computed;
+      const EventMask mask = masks[level_start + k];
+      store.partition_of_.emplace(
+          mask, interner.Intern(std::move(computed[k].partition)));
+      classes_of.emplace(mask, computed[k].classes);
+      refinements += computed[k].refined ? 1 : 0;
     }
     level_start = level_end;
   }
 
+  store.stats_.subsets_computed = masks.size();
   store.stats_.distinct_partitions = store.partitions_.size();
-  if (store.full_mask_ == 0) {
-    store.stats_.full_partition_blocks = store.partitions_[0].block_count;
-  } else {
-    store.stats_.full_partition_blocks =
-        store.partitions_[store.partition_of_.at(store.full_mask_)]
-            .block_count;
-  }
+  store.stats_.full_partition_blocks = full.block_count;
   for (const Partition& p : store.partitions_) {
-    store.stats_.partition_memory_bytes +=
-        p.block_of.capacity() * sizeof(uint32_t);
+    store.stats_.partition_memory_bytes += p.block_of.size() * sizeof(uint32_t);
   }
   CTDB_OBS_COUNT("projection.precomputes", 1);
   CTDB_OBS_COUNT("projection.subsets_computed", store.stats_.subsets_computed);
+  CTDB_OBS_COUNT("projection.refinements", refinements);
   CTDB_OBS_HIST("projection.distinct_partitions_per_contract",
                 store.stats_.distinct_partitions);
   return store;

@@ -4,11 +4,24 @@
 // cited label events, the coarsest bisimulation partition of the contract BA
 // with labels projected onto that subset (both polarities of each retained
 // event — a sound superset of the exact literal set Definition 8 asks for,
-// see DESIGN.md). Partitions are computed in lattice order (Theorem 3: the
-// partition for a superset refines the partition for a subset, so refinement
-// can start from the parent's partition instead of from scratch) and
-// deduplicated — in practice only a small fraction of subsets yield distinct
-// partitions (the paper reports ~5%).
+// see DESIGN.md). Partitions are deduplicated: in practice only a small
+// fraction of subsets yield distinct partitions (the paper reports ~5%).
+//
+// The precompute works on word labels: each distinct label becomes a pair
+// of 64-bit (positive, negative) masks over the cited events, and a label's
+// class under subset M is that pair masked by M, so no label is copied or
+// projected per subset. Subsets are visited in lattice order. The full set
+// is refined first; then most subsets need no refinement:
+//  - a subset whose labels fall into as many classes as under an immediate
+//    sub-subset induces the same labelled transition system, so it takes
+//    that sub-subset's partition;
+//  - otherwise refinement starts from the meet (common refinement) of the
+//    immediate sub-subsets' partitions, each of which the subset's
+//    partition refines (Theorem 3: the partition for L' ⊇ L refines the
+//    partition for L);
+//  - a meet with as many blocks as the full set's partition is that
+//    partition, since the full set's partition refines every other.
+// Contracts citing more than 64 events keep no projections.
 //
 // Storage follows §5.2: only the partitions (block lists) are kept; quotient
 // automata are materialized lazily at query time and cached. The lazy cache
@@ -68,10 +81,11 @@ class ContractProjections {
 
   /// Runs the lattice-order precomputation over `ba`. With a non-null
   /// `pool`, the partitions of each lattice level (masks of equal popcount
-  /// — mutually independent, since a mask's refinement parents all have
-  /// strictly smaller popcount) are computed in parallel on the pool;
-  /// results are committed in mask order, so the store is identical to the
-  /// serial one.
+  /// — mutually independent, since a mask reads only its immediate
+  /// sub-masks and the full set's partition) are computed in parallel on
+  /// the pool; results are committed in mask order, so the store is
+  /// identical to the serial one. A contract citing more than 64 events
+  /// gets no projections, as with WrapOnly.
   static ContractProjections Precompute(
       automata::Buchi ba, const ProjectionStoreOptions& options = {},
       util::ThreadPool* pool = nullptr);
@@ -88,7 +102,8 @@ class ContractProjections {
   /// exactly once. Returned references stay valid for the store's lifetime.
   ///
   /// Always sound: falls back to the full-event-set (language-preserving
-  /// minimized) automaton when no smaller projection applies.
+  /// minimized) automaton when no smaller projection applies, and returns
+  /// the registered automaton when the store holds no projections.
   const automata::Buchi& ForQueryEvents(const Bitset& query_label_events) const;
 
   /// The registered (unprojected) automaton.
@@ -98,6 +113,7 @@ class ContractProjections {
 
  private:
   using EventMask = uint64_t;
+  static constexpr size_t kMaxMaskEvents = 64;
 
   /// Sharded mutex-protected lazy cache of quotient automata; defined in
   /// store.cc. Allocated by Precompute (the only path that leaves

@@ -98,13 +98,30 @@ TEST(BisimulationTest, ProjectionMergesLabelDistinctions) {
   ba.AddTransition(sink, Label(), sink);
   ba.AddTransition(a, L({{0, false}}), sink);
   ba.AddTransition(b, L({{1, false}}), sink);
-  // Retain nothing: both labels project to `true` and a ~ b.
-  Bitset none(2);
-  BisimulationOptions options;
-  options.retained_pos = &none;
-  options.retained_neg = &none;
-  const Partition p = CoarsestBisimulation(ba, options);
+  // Retain nothing: both labels fall into one class and a ~ b.
+  std::vector<Label> labels;
+  const LabeledTransitions moves = LabeledTransitions::Of(ba, &labels);
+  ASSERT_EQ(labels.size(), 3u);
+  const std::vector<uint32_t> one_class(labels.size(), 0);
+  const Partition p =
+      RefineToBisimulation(moves, one_class, Partition::FinalSplit(ba));
   EXPECT_EQ(p.block_of[a], p.block_of[b]);
+  EXPECT_NE(p.block_of[a], p.block_of[sink]);
+}
+
+TEST(PartitionTest, MeetIsTheCommonRefinement) {
+  Partition a;
+  a.block_of = {0, 0, 1, 1};
+  a.block_count = 2;
+  Partition b;
+  b.block_of = {0, 1, 1, 1};
+  b.block_count = 2;
+  const Partition meet = a.Meet(b);
+  EXPECT_EQ(meet.block_of, (std::vector<uint32_t>{0, 1, 2, 2}));
+  EXPECT_EQ(meet.block_count, 3u);
+  EXPECT_TRUE(meet.Refines(a));
+  EXPECT_TRUE(meet.Refines(b));
+  EXPECT_EQ(a.Meet(a), a);
 }
 
 TEST(BisimulationTest, StartPartitionIsRefined) {
@@ -116,9 +133,7 @@ TEST(BisimulationTest, StartPartitionIsRefined) {
   Partition start;
   start.block_of = {0, 1, 1};
   start.block_count = 2;
-  BisimulationOptions options;
-  options.start = &start;
-  const Partition p = CoarsestBisimulation(ba, options);
+  const Partition p = CoarsestBisimulation(ba, &start);
   EXPECT_NE(p.block_of[0], p.block_of[a]);
   EXPECT_EQ(p.block_of[a], p.block_of[b]);
 }

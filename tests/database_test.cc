@@ -138,6 +138,27 @@ TEST_F(DatabaseTest, DisabledIndexStructuresStillCorrect) {
   EXPECT_EQ(r.stats.candidates, 1u);
 }
 
+// Projection masks are one 64-bit word: a contract citing more events must
+// answer as if it had no projections, not project onto a wrapped mask.
+TEST_F(DatabaseTest, ContractCitingMoreThan64EventsMatchesWithoutProjections) {
+  const std::string query = "F(e8 & X e8) & F e1 & F e2 & F e3 & F e4";
+  for (int events : {64, 65, 66, 70}) {
+    std::string contract = "(e0";
+    for (int e = 1; e < events; ++e) contract += " | e" + std::to_string(e);
+    contract += ") & G(e8 -> X !e8)";
+    std::vector<uint32_t> matches[2];
+    for (bool projections : {false, true}) {
+      DatabaseOptions options;
+      options.build_projections = projections;
+      ContractDatabase db(options);
+      ASSERT_TRUE(db.Register("wide", contract).ok());
+      matches[projections] = MustQuery(&db, query).matches;
+    }
+    EXPECT_EQ(matches[true], matches[false]) << events << " events";
+    EXPECT_TRUE(matches[false].empty()) << events << " events";
+  }
+}
+
 // Requirement iii of §1: publishing a contract with a different policy (and
 // new events) must not force revising previously published contracts — old
 // contracts keep answering exactly as before.

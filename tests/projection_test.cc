@@ -89,13 +89,10 @@ TEST(ProjectionEquivalenceTest, Theorem9OnRandomContractQueryPairs) {
     // Project onto the events the query's labels cite (both polarities).
     const Bitset retained =
         NeededEvents(qba->CitedEvents(), cba->CitedEvents());
-    automata::BisimulationOptions options;
     Bitset retained_resized = retained;
     retained_resized.Resize(kEvents);
-    options.retained_pos = &retained_resized;
-    options.retained_neg = &retained_resized;
-    const automata::Partition part =
-        automata::CoarsestBisimulation(*cba, options);
+    const automata::Partition part = automata::CoarsestBisimulation(
+        Project(*cba, RetainedLiterals::AllOf(retained_resized)));
     const Buchi quotient = automata::BuildQuotient(
         *cba, part, &retained_resized, &retained_resized);
 
@@ -129,26 +126,21 @@ TEST(ProjectionLatticeTest, Theorem3RefinementOrder) {
     large.Set(0);
     large.Set(1);
 
-    automata::BisimulationOptions small_opt;
-    small_opt.retained_pos = &small;
-    small_opt.retained_neg = &small;
+    const Buchi projected_small =
+        Project(*cba, RetainedLiterals::AllOf(small));
+    const Buchi projected_large =
+        Project(*cba, RetainedLiterals::AllOf(large));
     const automata::Partition p_small =
-        automata::CoarsestBisimulation(*cba, small_opt);
-
-    automata::BisimulationOptions large_opt;
-    large_opt.retained_pos = &large;
-    large_opt.retained_neg = &large;
+        automata::CoarsestBisimulation(projected_small);
     const automata::Partition p_large =
-        automata::CoarsestBisimulation(*cba, large_opt);
+        automata::CoarsestBisimulation(projected_large);
 
     EXPECT_TRUE(p_large.Refines(p_small));
 
     // And starting the large computation from the small partition gives the
     // same result (the lattice-order optimization's correctness).
-    automata::BisimulationOptions seeded = large_opt;
-    seeded.start = &p_small;
     const automata::Partition p_seeded =
-        automata::CoarsestBisimulation(*cba, seeded);
+        automata::CoarsestBisimulation(projected_large, &p_small);
     EXPECT_EQ(p_seeded, p_large);
   }
 }

@@ -2,12 +2,23 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "automata/bisimulation.h"
+#include "automata/quotient.h"
 #include "automata/serialize.h"
+#include "broker/database.h"
 #include "core/permission.h"
 #include "ltl/parser.h"
+#include "projection/projection.h"
+#include "testing/counter_growth.h"
 #include "testing/generators.h"
 #include "translate/ltl_to_ba.h"
 #include "util/thread_pool.h"
+#include "workload/generator.h"
 
 namespace ctdb::projection {
 namespace {
@@ -133,8 +144,136 @@ TEST_P(StorePropertyTest, PermissionInvariantUnderStoreQuotients) {
   }
 }
 
+/// The store against the definition: for every subset L of a random
+/// contract's cited events, ForQueryEvents(L) is the quotient of π_K(A) by
+/// its coarsest bisimulation, where K is L when the configuration stores L
+/// and the full cited set otherwise. The reference builds π_K(A) explicitly
+/// and refines it from the final split, with no lattice and no start
+/// partition.
+TEST_P(StorePropertyTest, QuotientsMatchTheDefinition) {
+  const size_t kEvents = 4;
+  ltl::FormulaFactory fac;
+  const Vocabulary vocab = ctdb::testing::TestVocabulary(kEvents);
+  Rng rng(707070 + GetParam());
+  ProjectionStoreOptions options;
+  options.max_enumerated_events = GetParam();
+  options.max_subset_size = GetParam() == 0 ? 1 : 2;
+
+  // Odd trials precompute on a pool: the level-parallel path must meet the
+  // definition too.
+  util::ThreadPool pool(2);
+  ctdb::testing::CounterGrowth growth;
+  for (int trial = 0; trial < 150; ++trial) {
+    const ltl::Formula* cf =
+        ctdb::testing::RandomFormula(&rng, &fac, kEvents, 4);
+    auto cba = translate::LtlToBuchi(cf, &fac);
+    ASSERT_TRUE(cba.ok());
+    const Buchi ba = *cba;
+    const ContractProjections store = ContractProjections::Precompute(
+        std::move(*cba), options, trial % 2 == 1 ? &pool : nullptr);
+
+    const Bitset cited_events = ba.CitedEvents();
+    std::vector<EventId> cited;
+    for (size_t e : cited_events.Indices()) {
+      cited.push_back(static_cast<EventId>(e));
+    }
+    const bool all_stored = cited.size() <= options.max_enumerated_events;
+    for (uint32_t mask = 0; mask < (1u << cited.size()); ++mask) {
+      Bitset subset(kEvents);
+      for (size_t i = 0; i < cited.size(); ++i) {
+        if (mask & (1u << i)) subset.Set(cited[i]);
+      }
+      const bool stored =
+          all_stored || subset.Count() <= options.max_subset_size;
+      Bitset key = stored ? subset : cited_events;
+      key.Resize(kEvents);
+      const automata::Partition reference = automata::CoarsestBisimulation(
+          Project(ba, RetainedLiterals::AllOf(key)));
+      EXPECT_EQ(automata::Serialize(store.ForQueryEvents(subset), vocab),
+                automata::Serialize(
+                    automata::BuildQuotient(ba, reference, &key, &key), vocab))
+          << "contract: " << cf->ToString(vocab) << "\nmask: " << mask
+          << "\nconfig: " << GetParam();
+    }
+  }
+  // The lattice rules decided some masks without a refinement.
+  if (CTDB_OBS) {
+    EXPECT_LT(growth("projection.refinements"),
+              growth("projection.subsets_computed"));
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Configs, StorePropertyTest,
                          ::testing::Values(0, 2, 12));
+
+/// Masks are one 64-bit word. A contract citing more events keeps no
+/// projections: every query gets the registered automaton, so permission
+/// through the store equals permission on the original.
+TEST(StoreWideContractTest, MoreThan64EventsKeepNoProjections) {
+  for (int events : {65, 70}) {
+    Vocabulary vocab = ctdb::testing::TestVocabulary(70);
+    ltl::FormulaFactory fac;
+    std::string text = "(e0";
+    for (int e = 1; e < events; ++e) text += " | e" + std::to_string(e);
+    text += ") & G(e8 -> X !e8)";
+    auto contract = ltl::Parse(text, &fac, &vocab);
+    ASSERT_TRUE(contract.ok()) << contract.status();
+    auto cba = translate::LtlToBuchi(*contract, &fac);
+    ASSERT_TRUE(cba.ok()) << cba.status();
+    Bitset contract_events;
+    (*contract)->CollectEvents(&contract_events);
+    const Buchi original = *cba;
+    const ContractProjections store =
+        ContractProjections::Precompute(std::move(*cba));
+    EXPECT_EQ(store.stats().cited_events, static_cast<size_t>(events));
+    EXPECT_EQ(store.stats().subsets_computed, 0u);
+
+    for (const char* query_text :
+         {"F(e8 & X e8) & F e1 & F e2 & F e3 & F e4", "F(e8 & X e8)",
+          "G !e0 & F e64", "F e1 & G !e8"}) {
+      auto query = ltl::Parse(query_text, &fac, &vocab);
+      ASSERT_TRUE(query.ok()) << query.status();
+      auto qba = translate::LtlToBuchi(*query, &fac);
+      ASSERT_TRUE(qba.ok()) << qba.status();
+      const Buchi& simplified = store.ForQueryEvents(qba->CitedEvents());
+      EXPECT_EQ(&simplified, &store.original());
+      EXPECT_EQ(core::Permits(simplified, contract_events, *qba),
+                core::Permits(original, contract_events, *qba))
+          << events << " events, query " << query_text;
+    }
+  }
+}
+
+/// §7.4's distinct-partition ratio, pinned: the projection statistics of the
+/// first contracts of bench_index_build's corpus (5-property contracts,
+/// generator seed 0x1DB), registered as that bench registers them.
+TEST(StoreGoldenTest, IndexBuildCorpusStatsMatchGolden) {
+  const std::string path =
+      std::string(CTDB_TESTDATA_DIR) + "/projection_stats.golden";
+  std::ifstream in(path);
+  ASSERT_TRUE(in) << "cannot open " << path;
+  std::stringstream golden;
+  golden << in.rdbuf();
+
+  broker::ContractDatabase db;
+  workload::GeneratorOptions gen_options;
+  gen_options.properties = 5;
+  workload::SpecGenerator generator(gen_options, 0x1DB, db.vocabulary(),
+                                    db.factory());
+  std::ostringstream got;
+  for (int i = 0; i < 10; ++i) {
+    auto spec = generator.Next();
+    ASSERT_TRUE(spec.ok()) << spec.status();
+    auto id = db.RegisterFormula("c" + std::to_string(i), spec->formula,
+                                 spec->text);
+    ASSERT_TRUE(id.ok()) << id.status();
+    const ProjectionStats stats = db.contract(*id).projections.stats();
+    got << "c" << i << " subsets_computed=" << stats.subsets_computed
+        << " distinct_partitions=" << stats.distinct_partitions
+        << " full_partition_blocks=" << stats.full_partition_blocks << "\n";
+  }
+  EXPECT_EQ(got.str(), golden.str());
+}
 
 TEST_F(StoreTest, ParallelPrecomputeIsIdenticalToSerial) {
   Buchi ba = BA("G(e0 -> F e1) & G(e2 -> F e3) & (e1 U e2)");

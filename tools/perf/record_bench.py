@@ -2,7 +2,8 @@
 """Record a pinned benchmark set into the committed perf trajectory.
 
 Runs the pinned google-benchmark binaries (bench_permission,
-bench_translate, bench_query_batch, bench_prefilter by default) and appends
+bench_translate, bench_query_batch, bench_prefilter, bench_projection by
+default) and appends
 one entry per bench to the root-level ``BENCH_<name>.json`` trajectory
 files:
 
@@ -45,7 +46,8 @@ import subprocess
 import sys
 import tempfile
 
-DEFAULT_BENCHES = ["permission", "translate", "query_batch", "prefilter"]
+DEFAULT_BENCHES = ["permission", "translate", "query_batch", "prefilter",
+                   "projection"]
 
 
 def repo_root():
