@@ -2,7 +2,8 @@
 // round trips against an in-process server on the loopback interface, plus
 // the layers underneath pulled apart — ExecuteRequest without the network,
 // and the wire codec without the database — so a regression can be
-// attributed to the protocol, the event loop, or the query pipeline.
+// attributed to the protocol, the transport and its thread wakeups, or the
+// query pipeline.
 //
 // Recorded into BENCH_server.json by tools/perf/record_bench.py and gated
 // by compare_bench.py like the other pinned benches.
@@ -71,8 +72,9 @@ Fixture* SharedFixture() {
   return fixture;
 }
 
-// Full round trip: encode, send, event loop, worker, query pipeline,
-// response, decode — one request at a time (latency-bound).
+// Full round trip: encode, send, the connection's thread reading, running
+// the query pipeline and sending the response, decode — one request at a
+// time (latency-bound).
 void BM_Server_QueryRoundTrip(benchmark::State& state) {
   Fixture* fixture = SharedFixture();
   auto client = Client::Connect("127.0.0.1", fixture->server->port());
@@ -89,8 +91,11 @@ void BM_Server_QueryRoundTrip(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 
-// Pipelined round trips: `depth` requests in flight per batch. Throughput
-// amortizes the per-frame syscall and wakeup cost.
+// Pipelined round trips: `depth` requests in flight per batch. The server
+// runs a connection's requests one at a time in order, so this measures
+// one connection's serial throughput with the client's sends and the
+// server's reads and sends batched; it does not run the queries in
+// parallel.
 void BM_Server_PipelinedQueries(benchmark::State& state) {
   Fixture* fixture = SharedFixture();
   auto client = Client::Connect("127.0.0.1", fixture->server->port());

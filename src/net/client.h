@@ -2,10 +2,11 @@
 //
 // One Client wraps one connection. `Call` is the simple request/response
 // path; `Send` + `Receive` decouple the two halves for pipelining — any
-// number of requests may be written before the first response is read
-// (the server answers a connection's requests in receive order, but match
-// by correlation id anyway). `SendBytes` writes raw bytes, which is how
-// the torture tests inject half frames and garbage.
+// number of requests may be written before the first response is read,
+// and the server runs and answers a connection's requests one at a time in
+// the order it received them (each response also carries its request's
+// correlation id). `SendBytes` writes raw bytes, which is how the torture
+// tests inject half frames and garbage.
 //
 // Thread safety: none — one Client per thread (the load generator opens
 // one per worker).
@@ -44,8 +45,9 @@ class Client {
   /// does not decode.
   Result<Response> Receive();
 
-  /// Send + Receive. With pipelined requests in flight this returns the
-  /// earliest outstanding response, not necessarily this request's.
+  /// Send + Receive. Responses come back in request order, so this
+  /// returns the earliest unanswered request's response: this request's
+  /// only when no earlier pipelined request is still unanswered.
   Result<Response> Call(const Request& request);
 
   /// Half-closes the write side (shutdown(SHUT_WR)) — the server sees EOF,

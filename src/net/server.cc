@@ -11,13 +11,12 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <mutex>
-#include <unordered_map>
+#include <exception>
+#include <system_error>
 #include <vector>
 
 #include "broker/broker.h"
 #include "obs/metrics.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace ctdb::net {
@@ -28,357 +27,232 @@ Status Errno(const char* what) {
   return Status::Internal(std::string(what) + ": " + std::strerror(errno));
 }
 
-bool SetNonBlocking(int fd) {
-  const int flags = fcntl(fd, F_GETFL, 0);
-  return flags >= 0 && fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
+void CloseFd(int* fd) {
+  if (*fd >= 0) close(*fd);
+  *fd = -1;
+}
+
+/// Writes all of `bytes` — `frames` whole response frames — blocking while
+/// the socket buffer is full. False once the socket is gone.
+bool SendFrames(int fd, std::string_view bytes,
+                [[maybe_unused]] size_t frames) {
+  while (!bytes.empty()) {
+    const ssize_t n = send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
+    if (n > 0) {
+      CTDB_OBS_COUNT("net.bytes.out", static_cast<uint64_t>(n));
+      bytes.remove_prefix(static_cast<size_t>(n));
+    } else if (n < 0 && errno == EINTR) {
+      continue;
+    } else {
+      return false;
+    }
+  }
+  CTDB_OBS_COUNT("net.frames.out", frames);
+  return true;
 }
 
 }  // namespace
 
-/// Per-connection state. The event loop owns the socket and the read side;
-/// the outbound buffer is shared with workers under `out_mutex`.
+/// One accepted connection. The acceptor owns it, and closes `fd` only
+/// after joining `thread`.
 struct Server::Connection {
   int fd = -1;
-
-  // --- event-loop-thread state ------------------------------------------
-  std::string inbuf;
-  size_t in_pos = 0;          ///< parse offset into inbuf
-  bool read_closed = false;   ///< EOF seen, or reads abandoned for good
-  bool close_after_flush = false;
-  bool paused = false;        ///< reads paused by outbound backpressure
-
-  // --- shared with workers ----------------------------------------------
-  std::mutex out_mutex;
-  std::string outbuf;         ///< bytes [out_pos, size) await the socket
-  size_t out_pos = 0;
-  bool dead = false;          ///< socket closed; further appends discarded
-  std::atomic<size_t> in_flight{0};  ///< requests executing for this conn
-
-  /// Appends a frame for the loop to flush. Returns false when the
-  /// connection already died (the frame is dropped).
-  bool Append(std::string_view frame) {
-    std::lock_guard<std::mutex> lock(out_mutex);
-    if (dead) return false;
-    outbuf.append(frame);
-    return true;
-  }
-
-  size_t PendingOut() {
-    std::lock_guard<std::mutex> lock(out_mutex);
-    return outbuf.size() - out_pos;
-  }
+  std::thread thread;
+  std::atomic<bool> done{false};  ///< Serve returned; ready to join
 };
 
-/// The poll(2) event loop (see server.h for the architecture comment).
-class Server::Loop {
- public:
-  explicit Loop(Server* server) : server_(*server) {}
-
-  void Run() {
-    std::vector<pollfd> fds;
-    std::vector<std::shared_ptr<Connection>> polled;
-    bool drain_seen = false;
-    std::chrono::steady_clock::time_point drain_deadline{};
-
-    for (;;) {
-      const bool draining = server_.draining();
-      if (draining && !drain_seen) {
-        drain_seen = true;
-        drain_deadline = std::chrono::steady_clock::now() +
-                         std::chrono::milliseconds(
-                             server_.options_.drain_timeout_ms);
-        CloseListener();
-      }
-
-      ReapConnections(draining);
-      if (draining) {
-        if (conns_.empty()) break;
-        if (std::chrono::steady_clock::now() >= drain_deadline) {
-          for (auto& [fd, conn] : conns_) CloseSocket(*conn);
-          conns_.clear();
-          break;
-        }
-      }
-
-      fds.clear();
-      polled.clear();
-      fds.push_back({server_.wake_read_fd_, POLLIN, 0});
-      if (!draining && server_.listen_fd_ >= 0) {
-        fds.push_back({server_.listen_fd_, POLLIN, 0});
-      }
-      const size_t first_conn = fds.size();
-      for (auto& [fd, conn] : conns_) {
-        short events = 0;
-        if (!draining && !conn->read_closed && !conn->paused) events |= POLLIN;
-        if (conn->PendingOut() > 0) events |= POLLOUT;
-        if (events == 0) continue;
-        fds.push_back({fd, events, 0});
-        polled.push_back(conn);
-      }
-
-      const int timeout_ms = draining ? 20 : 200;
-      const int n = poll(fds.data(), fds.size(), timeout_ms);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        break;  // unrecoverable poll failure; shut down
-      }
-
-      if (fds[0].revents & POLLIN) DrainWakePipe();
-      if (!draining && first_conn == 2 && (fds[1].revents & POLLIN)) {
-        AcceptConnections();
-      }
-      for (size_t i = first_conn; i < fds.size(); ++i) {
-        const auto& conn = polled[i - first_conn];
-        if (conn->fd < 0) continue;  // closed by an earlier event this round
-        if (fds[i].revents & (POLLOUT | POLLERR | POLLHUP)) {
-          FlushConnection(*conn);
-        }
-        if (conn->fd >= 0 && (fds[i].revents & (POLLIN | POLLHUP))) {
-          HandleReadable(conn);
-        }
-      }
-      // Workers appended responses since the last poll; flush eagerly so a
-      // response never waits for the next POLLOUT round trip.
-      for (auto& [fd, conn] : conns_) {
-        if (conn->PendingOut() > 0) FlushConnection(*conn);
-        UpdateBackpressure(*conn);
-      }
-    }
-    CloseListener();
-  }
-
- private:
-  void DrainWakePipe() {
+void Server::AcceptLoop() {
+  std::vector<std::unique_ptr<Connection>> conns;
+  // Joins and closes every connection whose thread returned (with `all`,
+  // every connection).
+  const auto reap = [&](bool all) {
+    std::erase_if(conns, [&](const std::unique_ptr<Connection>& conn) {
+      if (!all && !conn->done.load(std::memory_order_acquire)) return false;
+      conn->thread.join();
+      close(conn->fd);
+      connections_.fetch_sub(1, std::memory_order_acq_rel);
+      CTDB_OBS_GAUGE_ADD("net.connections.active", -1);
+      return true;
+    });
+  };
+  const auto drain_wake_pipe = [this] {
     char buf[256];
-    while (read(server_.wake_read_fd_, buf, sizeof buf) > 0) {
+    while (read(wake_read_fd_, buf, sizeof buf) > 0) {
     }
-  }
+  };
 
-  void CloseListener() {
-    if (server_.listen_fd_ >= 0) {
-      close(server_.listen_fd_);
-      server_.listen_fd_ = -1;
+  pollfd fds[2] = {{wake_read_fd_, POLLIN, 0}, {listen_fd_, POLLIN, 0}};
+  while (!draining()) {
+    if (poll(fds, 2, -1) < 0) {
+      if (errno == EINTR) continue;
+      draining_.store(true, std::memory_order_release);  // unrecoverable
+      break;
     }
-  }
-
-  void AcceptConnections() {
+    if (fds[0].revents & POLLIN) drain_wake_pipe();
+    reap(false);
+    if (!(fds[1].revents & POLLIN)) continue;
     for (;;) {
-      const int fd = accept4(server_.listen_fd_, nullptr, nullptr,
-                             SOCK_NONBLOCK | SOCK_CLOEXEC);
-      if (fd < 0) {
-        if (errno == EINTR) continue;
-        return;  // EAGAIN or transient accept failure: try next round
-      }
-      if (conns_.size() >= server_.options_.max_connections) {
+      // Accepted sockets block: their thread reads and sends in turn.
+      const int fd = accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
+      if (fd < 0) break;  // EAGAIN, or a transient failure: next round
+      if (conns.size() >= options_.max_connections) {
         close(fd);
         CTDB_OBS_COUNT("net.accept.rejected", 1);
         continue;
       }
       const int one = 1;
       setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-      auto conn = std::make_shared<Connection>();
+      auto conn = std::make_unique<Connection>();
       conn->fd = fd;
-      conns_.emplace(fd, std::move(conn));
-      server_.connections_.fetch_add(1, std::memory_order_acq_rel);
+      try {
+        conn->thread = std::thread(&Server::Serve, this, conn.get());
+      } catch (const std::system_error&) {
+        close(fd);
+        CTDB_OBS_COUNT("net.accept.rejected", 1);
+        continue;
+      }
+      conns.push_back(std::move(conn));
+      connections_.fetch_add(1, std::memory_order_acq_rel);
       CTDB_OBS_COUNT("net.connections.accepted", 1);
       CTDB_OBS_GAUGE_ADD("net.connections.active", 1);
     }
   }
 
-  void HandleReadable(const std::shared_ptr<Connection>& conn) {
-    char buf[64 * 1024];
-    // Bounded rounds so one fast writer cannot monopolize the loop.
-    for (int round = 0; round < 16 && !conn->read_closed; ++round) {
-      const ssize_t n = read(conn->fd, buf, sizeof buf);
-      if (n > 0) {
-        conn->inbuf.append(buf, static_cast<size_t>(n));
-        CTDB_OBS_COUNT("net.bytes.in", static_cast<uint64_t>(n));
-        if (static_cast<size_t>(n) < sizeof buf) break;
-      } else if (n == 0) {
-        // Peer finished sending; answer what we already have, then close.
-        conn->read_closed = true;
-        conn->close_after_flush = true;
-      } else if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        break;
-      } else if (errno != EINTR) {
-        CloseConnection(*conn);
-        return;
-      }
+  // Drain: stop accepting, wake every thread blocked in read, and wait for
+  // each to answer what it has read.
+  CloseFd(&listen_fd_);
+  for (const auto& conn : conns) shutdown(conn->fd, SHUT_RD);
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(options_.drain_timeout_ms);
+  for (reap(false); !conns.empty(); reap(false)) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+                          deadline - std::chrono::steady_clock::now())
+                          .count();
+    if (left <= 0) {
+      // Cut off the connections still sending to a reader that does not
+      // read; their blocked send fails and the thread returns.
+      for (const auto& conn : conns) shutdown(conn->fd, SHUT_RDWR);
+      break;
     }
-    ParseFrames(conn);
+    pollfd wake{wake_read_fd_, POLLIN, 0};
+    if (poll(&wake, 1, static_cast<int>(left)) > 0) drain_wake_pipe();
   }
+  reap(true);
+}
 
-  void ParseFrames(const std::shared_ptr<Connection>& conn) {
-    const std::string_view data(conn->inbuf);
-    size_t offset = conn->in_pos;
-    while (conn->fd >= 0 && !conn->dead) {
-      std::string_view payload;
-      const FrameScan scan = ScanFrame(data, &offset, &payload);
+void Server::Serve(Connection* conn) {
+  const int fd = conn->fd;
+  struct Parsed {
+    Request request;
+    bool admitted;  ///< counted against max_pending; otherwise shed
+  };
+  // Executes (or sheds) one request and frees its admission slot.
+  const auto answer = [&](const Parsed& parsed) {
+    if (!parsed.admitted) {
+      return Response::Error(
+          parsed.request,
+          Status::Unavailable("server overloaded: request queue full"));
+    }
+    const Timer timer;
+    Response response;
+    try {
+      response = ExecuteRequest(db_, parsed.request);
+    } catch (const std::exception& e) {
+      // Answer rather than let the exception end the thread (and process).
+      response = Response::Error(
+          parsed.request,
+          Status::Internal(std::string("request threw: ") + e.what()));
+    }
+    CTDB_OBS_HIST("net.request_us",
+                  static_cast<uint64_t>(timer.ElapsedMicros()));
+    CTDB_OBS_COUNT("net.requests", 1);
+    pending_.fetch_sub(1, std::memory_order_acq_rel);
+    CTDB_OBS_GAUGE_ADD("net.queue.depth", -1);
+    return response;
+  };
+
+  std::vector<Parsed> batch;
+  std::string inbuf;
+  char buf[64 * 1024];
+  while (!draining()) {
+    const ssize_t n = read(fd, buf, sizeof buf);
+    if (n < 0 && errno == EINTR) continue;
+    // EOF (the peer's, or the drain's SHUT_RD) or a dead socket; a partial
+    // frame is dropped unanswered.
+    if (n <= 0) break;
+    CTDB_OBS_COUNT("net.bytes.in", static_cast<uint64_t>(n));
+    inbuf.append(buf, static_cast<size_t>(n));
+
+    // Admission control: every whole frame counts against max_pending
+    // before any request of this read runs.
+    Status error;
+    size_t offset = 0;
+    for (std::string_view payload;;) {
+      const FrameScan scan = ScanFrame(inbuf, &offset, &payload);
       if (scan == FrameScan::kNeedMore) break;
       if (scan == FrameScan::kCorrupt) {
-        ProtocolError(*conn, Status::Corruption("invalid frame"));
+        error = Status::Corruption("invalid frame");
         break;
       }
       CTDB_OBS_COUNT("net.frames.in", 1);
       Request request;
-      const Status status = DecodeRequestPayload(payload, &request);
-      if (!status.ok()) {
-        ProtocolError(*conn, status);
-        break;
-      }
-      Dispatch(conn, std::move(request));
-    }
-    conn->in_pos = offset;
-    // Compact once the parsed prefix dominates the buffer.
-    if (conn->in_pos > 4096 && conn->in_pos * 2 >= conn->inbuf.size()) {
-      conn->inbuf.erase(0, conn->in_pos);
-      conn->in_pos = 0;
-    }
-  }
-
-  /// A framing violation is unrecoverable on a byte stream: answer with one
-  /// final error frame (correlation id 0 — the request id is unknowable),
-  /// stop reading, and close once the error is flushed.
-  void ProtocolError(Connection& conn, const Status& status) {
-    CTDB_OBS_COUNT("net.protocol_errors", 1);
-    Response response;
-    response.id = 0;
-    response.request_kind = MsgKind::kQuery;
-    response.code = status.code();
-    response.message = status.message();
-    conn.Append(EncodeResponseFrame(response));
-    CTDB_OBS_COUNT("net.frames.out", 1);
-    conn.read_closed = true;
-    conn.close_after_flush = true;
-    conn.inbuf.clear();
-    conn.in_pos = 0;
-  }
-
-  /// Admission control: executes the request on the pool, or load-sheds
-  /// with an immediate Unavailable response when max_pending is reached.
-  void Dispatch(const std::shared_ptr<Connection>& conn, Request request) {
-    Server& server = server_;
-    const size_t was =
-        server.pending_.fetch_add(1, std::memory_order_acq_rel);
-    if (was >= server.options_.max_pending) {
-      server.pending_.fetch_sub(1, std::memory_order_acq_rel);
-      CTDB_OBS_COUNT("net.shed", 1);
-      conn->Append(EncodeResponseFrame(Response::Error(
-          request,
-          Status::Unavailable("server overloaded: request queue full"))));
-      CTDB_OBS_COUNT("net.frames.out", 1);
-      return;
-    }
-    CTDB_OBS_GAUGE_ADD("net.queue.depth", 1);
-    conn->in_flight.fetch_add(1, std::memory_order_acq_rel);
-    server.pool_->Submit([&server, conn, request = std::move(request)] {
-      const Timer timer;
-      Response response = ExecuteRequest(server.db_, request);
-      CTDB_OBS_HIST("net.request_us",
-                    static_cast<uint64_t>(timer.ElapsedMicros()));
-      CTDB_OBS_COUNT("net.requests", 1);
-      if (conn->Append(EncodeResponseFrame(response))) {
-        CTDB_OBS_COUNT("net.frames.out", 1);
-      }
-      conn->in_flight.fetch_sub(1, std::memory_order_acq_rel);
-      server.pending_.fetch_sub(1, std::memory_order_acq_rel);
-      CTDB_OBS_GAUGE_ADD("net.queue.depth", -1);
-      server.Wake();
-    });
-  }
-
-  /// Non-blocking write of whatever the outbound buffer holds.
-  void FlushConnection(Connection& conn) {
-    std::lock_guard<std::mutex> lock(conn.out_mutex);
-    if (conn.fd < 0) return;
-    while (conn.out_pos < conn.outbuf.size()) {
-      const ssize_t n =
-          send(conn.fd, conn.outbuf.data() + conn.out_pos,
-               conn.outbuf.size() - conn.out_pos, MSG_NOSIGNAL);
-      if (n > 0) {
-        conn.out_pos += static_cast<size_t>(n);
-        CTDB_OBS_COUNT("net.bytes.out", static_cast<uint64_t>(n));
-      } else if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-        break;
-      } else if (n < 0 && errno == EINTR) {
-        continue;
+      error = DecodeRequestPayload(payload, &request);
+      if (!error.ok()) break;
+      const bool admitted = pending_.fetch_add(1, std::memory_order_acq_rel) <
+                            options_.max_pending;
+      if (admitted) {
+        CTDB_OBS_GAUGE_ADD("net.queue.depth", 1);
       } else {
-        CloseSocketLocked(conn);
-        return;
+        pending_.fetch_sub(1, std::memory_order_acq_rel);
+        CTDB_OBS_COUNT("net.shed", 1);
       }
+      batch.push_back({std::move(request), admitted});
     }
-    if (conn.out_pos == conn.outbuf.size()) {
-      conn.outbuf.clear();
-      conn.out_pos = 0;
-    } else if (conn.out_pos > (1u << 20)) {
-      conn.outbuf.erase(0, conn.out_pos);
-      conn.out_pos = 0;
+    inbuf.erase(0, offset);
+
+    // Run every request of this read in arrival order, and only then send
+    // their responses together: no admission slot is held across a send
+    // that blocks, so a slow reader holds none.
+    std::string out;
+    for (const Parsed& parsed : batch) {
+      out += EncodeResponseFrame(answer(parsed));
     }
-  }
-
-  /// Pauses reads while a slow reader's responses pile up past the cap;
-  /// resumes below half of it.
-  void UpdateBackpressure(Connection& conn) {
-    if (conn.fd < 0) return;
-    const size_t pending = conn.PendingOut();
-    if (!conn.paused && pending > server_.options_.max_outbound_bytes) {
-      conn.paused = true;
-      CTDB_OBS_COUNT("net.backpressure.pauses", 1);
-    } else if (conn.paused &&
-               pending < server_.options_.max_outbound_bytes / 2) {
-      conn.paused = false;
+    size_t frames = batch.size();
+    batch.clear();
+    // A framing violation is unrecoverable on a byte stream: one final
+    // error frame (correlation id 0 — the request id is unknowable), then
+    // close.
+    if (!error.ok()) {
+      CTDB_OBS_COUNT("net.protocol_errors", 1);
+      Response response;
+      response.id = 0;
+      response.request_kind = MsgKind::kQuery;
+      response.code = error.code();
+      response.message = error.message();
+      out += EncodeResponseFrame(response);
+      ++frames;
     }
+    if (!SendFrames(fd, out, frames) || !error.ok()) break;
   }
-
-  /// Closes connections that finished: nothing left to read, execute or
-  /// flush. During drain every connection is "finished" once idle.
-  void ReapConnections(bool draining) {
-    for (auto it = conns_.begin(); it != conns_.end();) {
-      Connection& conn = *it->second;
-      // ParseFrames dispatches every complete frame it sees, so leftover
-      // inbuf bytes are always a partial frame — nothing pending there.
-      const bool idle = conn.in_flight.load(std::memory_order_acquire) == 0 &&
-                        conn.PendingOut() == 0;
-      const bool done = (conn.close_after_flush || draining) && idle;
-      if (conn.fd < 0 || done) {
-        if (conn.fd >= 0) CloseSocket(conn);
-        it = conns_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-
-  void CloseSocket(Connection& conn) {
-    std::lock_guard<std::mutex> lock(conn.out_mutex);
-    CloseSocketLocked(conn);
-  }
-
-  void CloseSocketLocked(Connection& conn) {
-    if (conn.fd < 0) return;
-    close(conn.fd);
-    conn.fd = -1;
-    conn.dead = true;
-    server_.connections_.fetch_sub(1, std::memory_order_acq_rel);
-    CTDB_OBS_GAUGE_ADD("net.connections.active", -1);
-  }
-
-  void CloseConnection(Connection& conn) { CloseSocket(conn); }
-
-  Server& server_;
-  std::unordered_map<int, std::shared_ptr<Connection>> conns_;
-};
+  // The peer sees EOF now; the acceptor closes the fd once it has joined
+  // this thread.
+  shutdown(fd, SHUT_RDWR);
+  conn->done.store(true, std::memory_order_release);
+  Wake();
+}
 
 Result<std::unique_ptr<Server>> Server::Start(broker::Broker* db,
                                               const ServerOptions& options) {
   if (db == nullptr) return Status::InvalidArgument("null database");
+  // Every failure below returns through ~Server, which closes whatever
+  // was opened.
   std::unique_ptr<Server> server(new Server);
   server->db_ = db;
   server->options_ = options;
-  if (server->options_.workers == 0) server->options_.workers = 1;
   if (server->options_.max_pending == 0) server->options_.max_pending = 1;
 
-  const int listen_fd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  const int listen_fd =
+      socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (listen_fd < 0) return Errno("socket");
   server->listen_fd_ = listen_fd;
   const int one = 1;
@@ -394,7 +268,6 @@ Result<std::unique_ptr<Server>> Server::Start(broker::Broker* db,
     return Errno("bind");
   }
   if (listen(listen_fd, 128) != 0) return Errno("listen");
-  if (!SetNonBlocking(listen_fd)) return Errno("fcntl");
 
   sockaddr_in bound{};
   socklen_t len = sizeof bound;
@@ -408,11 +281,7 @@ Result<std::unique_ptr<Server>> Server::Start(broker::Broker* db,
   server->wake_read_fd_ = pipe_fds[0];
   server->wake_write_fd_ = pipe_fds[1];
 
-  server->pool_ = std::make_unique<util::ThreadPool>(server->options_.workers);
-  server->loop_ = std::make_unique<Loop>(server.get());
-  server->loop_thread_ = std::thread([loop = server->loop_.get()] {
-    loop->Run();
-  });
+  server->acceptor_ = std::thread(&Server::AcceptLoop, server.get());
   return server;
 }
 
@@ -432,18 +301,13 @@ void Server::Wake() {
 }
 
 Status Server::Shutdown() {
-  if (stopped_.exchange(true, std::memory_order_acq_rel)) {
-    if (loop_thread_.joinable()) loop_thread_.join();
-    return Status::OK();
-  }
-  RequestDrain();
-  if (loop_thread_.joinable()) loop_thread_.join();
-  // Workers may still be finishing requests whose connections were force
-  // closed; draining the pool joins them before the pipe goes away.
-  pool_.reset();
-  if (wake_read_fd_ >= 0) close(wake_read_fd_);
-  if (wake_write_fd_ >= 0) close(wake_write_fd_);
-  wake_read_fd_ = wake_write_fd_ = -1;
+  std::call_once(shutdown_once_, [this] {
+    RequestDrain();
+    if (acceptor_.joinable()) acceptor_.join();
+    CloseFd(&listen_fd_);
+    CloseFd(&wake_read_fd_);
+    CloseFd(&wake_write_fd_);
+  });
   return Status::OK();
 }
 

@@ -2,7 +2,10 @@
 
 #include <unistd.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <mutex>
+#include <string_view>
 
 #include "util/crash_point.h"
 
@@ -25,6 +28,25 @@ void Hook(const char* site) {
   if (g_armed && (g_armed_site.empty() || g_armed_site == site)) {
     if (--g_remaining == 0) ::_exit(kCrashExitCode);
   }
+}
+
+// HoldFirstWrite's state, under its own mutex: a held write waits on
+// g_hold_cv with g_hold_mutex released, so the test can still reach it.
+constexpr auto kHoldLimit = std::chrono::seconds(10);
+std::mutex g_hold_mutex;
+std::condition_variable g_hold_cv;
+bool g_held = false;
+bool g_released = false;
+bool g_gave_up = false;
+
+void HoldHook(const char* site) {
+  if (std::string_view(site) != "wal.writer.after_write") return;
+  std::unique_lock<std::mutex> lock(g_hold_mutex);
+  if (g_held) return;  // only the first write is held
+  g_held = true;
+  g_hold_cv.notify_all();
+  g_gave_up =
+      !g_hold_cv.wait_for(lock, kHoldLimit, [] { return g_released; });
 }
 
 }  // namespace
@@ -54,6 +76,35 @@ void StopCrashPoints() {
   std::lock_guard<std::mutex> lock(g_mutex);
   g_record = nullptr;
   g_armed = false;
+}
+
+HoldFirstWrite::HoldFirstWrite() {
+  {
+    std::lock_guard<std::mutex> lock(g_hold_mutex);
+    g_held = g_released = g_gave_up = false;
+  }
+  util::SetCrashPointHook(&HoldHook);
+}
+
+HoldFirstWrite::~HoldFirstWrite() {
+  Release();
+  util::SetCrashPointHook(nullptr);
+}
+
+bool HoldFirstWrite::AwaitHeld() {
+  std::unique_lock<std::mutex> lock(g_hold_mutex);
+  return g_hold_cv.wait_for(lock, kHoldLimit, [] { return g_held; });
+}
+
+void HoldFirstWrite::Release() {
+  std::lock_guard<std::mutex> lock(g_hold_mutex);
+  g_released = true;
+  g_hold_cv.notify_all();
+}
+
+bool HoldFirstWrite::gave_up() const {
+  std::lock_guard<std::mutex> lock(g_hold_mutex);
+  return g_gave_up;
 }
 
 }  // namespace ctdb::testing

@@ -12,7 +12,11 @@
 //     no buffer flushes, exactly like a kill -9 at that instant. Tests
 //     `fork()` first and assert on the child's exit status.
 //
-// Both modes are process-global (the production hook is a single function
+// A third helper, HoldFirstWrite, pauses instead of killing: it holds the
+// first WAL write at its crash point so a test can act while that write is
+// in flight.
+//
+// All three are process-global (the production hook is a single function
 // pointer); tests using them must not run crash scenarios concurrently.
 
 #pragma once
@@ -39,5 +43,27 @@ void ArmCrashPoint(std::string site, uint64_t hit = 1);
 
 /// Uninstalls any recording or armed hook.
 void StopCrashPoints();
+
+/// Holds the first thread to finish a WAL write, at the
+/// wal.writer.after_write crash point, until Release — so a test can
+/// enqueue behind that write, or show that other work goes on beside it.
+/// The hold gives up after 10 s, so a test whose release never comes
+/// fails instead of hanging. One at a time; installs the hook for its
+/// lifetime.
+class HoldFirstWrite {
+ public:
+  HoldFirstWrite();
+  /// Releases any held write and uninstalls the hook.
+  ~HoldFirstWrite();
+  HoldFirstWrite(const HoldFirstWrite&) = delete;
+  HoldFirstWrite& operator=(const HoldFirstWrite&) = delete;
+
+  /// Waits, up to 10 s, until a write is held. False if none was.
+  bool AwaitHeld();
+  /// Lets the held write (and every later one) go on.
+  void Release();
+  /// True once the held write stopped waiting for Release on its own.
+  bool gave_up() const;
+};
 
 }  // namespace ctdb::testing

@@ -1,8 +1,9 @@
 // In-process integration tests for the network service (net/server.h):
 // a real server on an ephemeral port over a real DurableDatabase, real
-// sockets, concurrent mixed-operation clients, pipelining, graceful drain,
-// and restart recovery — everything acked over the wire must be present
-// after the server and database are reopened.
+// sockets, concurrent mixed-operation clients, pipelining in order, one
+// connection's slow request beside another's, graceful drain, and restart
+// recovery — everything acked over the wire must be present after the
+// server and database are reopened.
 
 #include "net/server.h"
 
@@ -21,6 +22,7 @@
 #include "shard/sharded.h"
 #include "net/client.h"
 #include "net/protocol.h"
+#include "testing/crash.h"
 #include "testing/temp_dir.h"
 #include "wal/wal.h"
 
@@ -293,24 +295,88 @@ TEST(ServerIntegrationTest, PipelinedRequestsAllAnsweredWithMatchingIds) {
   ASSERT_TRUE(
       client->Call(Request::Register(0, "seed", "F pay"))->status().ok());
 
-  // Requests execute on concurrent workers, so responses may arrive in any
-  // order — correlation ids are the contract, and every id must come back
-  // exactly once.
+  // A connection's requests run one at a time in arrival order, so every id
+  // comes back exactly once, in send order.
   constexpr uint64_t kInFlight = 64;
   for (uint64_t id = 1; id <= kInFlight; ++id) {
     ASSERT_TRUE(client->Send(Request::Query(id, "F pay")).ok());
   }
-  std::set<uint64_t> seen;
-  for (uint64_t i = 0; i < kInFlight; ++i) {
+  for (uint64_t id = 1; id <= kInFlight; ++id) {
     auto response = client->Receive();
     ASSERT_TRUE(response.ok()) << response.status().ToString();
     EXPECT_TRUE(response->status().ok()) << response->message;
-    EXPECT_GE(response->id, 1u);
-    EXPECT_LE(response->id, kInFlight);
-    EXPECT_TRUE(seen.insert(response->id).second)
-        << "duplicate response id " << response->id;
+    EXPECT_EQ(response->id, id);
   }
-  EXPECT_EQ(seen.size(), kInFlight);
+}
+
+TEST(ServerIntegrationTest, RequestsOnOneConnectionRunInOrder) {
+  TempDir dir("net");
+  Harness harness(dir.path());
+  auto client = harness.Connect();
+  ASSERT_TRUE(
+      client->Call(Request::Register(1, "pay", "F paid"))->status().ok());
+
+  // Pipelined without reading a byte, and each request needs the one before
+  // it: the appends need the open, the close counts every append, and the
+  // query cites an event that only the registration before it introduces,
+  // so that contract is its one match.
+  constexpr uint64_t kAppends = 32;
+  std::vector<Request> requests;
+  uint64_t id = 1;
+  requests.push_back(Request::StreamOpen(++id, "orders"));
+  for (uint64_t i = 0; i < kAppends; ++i) {
+    requests.push_back(Request::StreamAppend(++id, "orders", {{"paid"}}));
+  }
+  requests.push_back(Request::StreamClose(++id, "orders"));
+  requests.push_back(Request::Register(++id, "fresh", "F zeta"));
+  requests.push_back(Request::Query(++id, "F zeta"));
+  for (const Request& request : requests) {
+    ASSERT_TRUE(client->Send(request).ok());
+  }
+
+  std::vector<Response> responses;
+  for (const Request& request : requests) {
+    auto response = client->Receive();
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_TRUE(response->status().ok())
+        << "request " << response->id << ": " << response->message;
+    EXPECT_EQ(response->id, request.id) << "responses out of send order";
+    responses.push_back(std::move(*response));
+  }
+  const Response& closed = responses[kAppends + 1];
+  EXPECT_EQ(closed.request_kind, MsgKind::kStreamClose);
+  EXPECT_EQ(closed.events, kAppends);
+  const Response& registered = responses[kAppends + 2];
+  ASSERT_EQ(registered.ids.size(), 1u);
+  const Response& query = responses.back();
+  ASSERT_EQ(query.answers.size(), 1u);
+  EXPECT_EQ(query.answers[0].matches,
+            std::vector<uint32_t>{registered.ids[0]});
+}
+
+TEST(ServerIntegrationTest, SlowRequestDoesNotHoldUpAnotherConnection) {
+  TempDir dir("net");
+  Harness harness(dir.path());
+  auto slow = harness.Connect();
+  auto other = harness.Connect();
+
+  // The slow connection's registration is held inside its WAL write; the
+  // other connection must still be answered meanwhile.
+  testing::HoldFirstWrite hold;
+  ASSERT_TRUE(slow->Send(Request::Register(1, "held", "F pay")).ok());
+  ASSERT_TRUE(hold.AwaitHeld());
+  auto stats = other->Call(Request::Stats(2));
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_TRUE(stats->status().ok()) << stats->message;
+  EXPECT_FALSE(hold.gave_up())
+      << "the other connection was answered only after the held write "
+         "gave up";
+
+  hold.Release();
+  auto registered = slow->Receive();
+  ASSERT_TRUE(registered.ok()) << registered.status().ToString();
+  EXPECT_TRUE(registered->status().ok()) << registered->message;
+  EXPECT_EQ(registered->id, 1u);
 }
 
 TEST(ServerIntegrationTest, ConcurrentMixedClients) {
@@ -403,18 +469,20 @@ TEST(ServerIntegrationTest, GracefulDrainAnswersEveryReceivedRequest) {
 
   harness.server->RequestDrain();
 
-  // Every request the server had already received must still be answered
+  // Every request the server had already read must still be answered
   // before the connection closes; the stream then ends cleanly. Responses
-  // may arrive out of order (concurrent workers) but never duplicated.
+  // arrive in send order, each exactly once.
   std::set<uint64_t> answered = {first->id};
+  uint64_t last = first->id;
   for (;;) {
     auto response = client->Receive();
-    if (!response.ok()) break;  // server closed after flushing
+    if (!response.ok()) break;  // server closed after answering
     EXPECT_TRUE(response->status().ok()) << response->message;
-    EXPECT_GE(response->id, 1u);
+    EXPECT_EQ(response->id, last + 1);
     EXPECT_LE(response->id, kPipelined);
     EXPECT_TRUE(answered.insert(response->id).second)
         << "duplicate response id " << response->id;
+    last = response->id;
   }
   EXPECT_GE(answered.size(), 1u);
   ASSERT_TRUE(harness.server->Shutdown().ok());

@@ -1,21 +1,27 @@
 // Torture tests for the network service's ugly paths (net/server.h):
 // clients that disconnect mid-request, half-written frames, slow readers
-// against a full send buffer, oversized / garbage / zero-length frames, and
-// admission-control overflow. After every abuse the server must stay
-// serviceable for well-behaved connections — that is the invariant each
-// test ends on.
+// against a full send buffer, oversized / garbage / zero-length frames,
+// admission-control overflow, and starts that fail. After every abuse the
+// server must stay serviceable for well-behaved connections — that is the
+// invariant each test ends on.
 
 #include <gtest/gtest.h>
+#include <sys/ioctl.h>
 
+#include <chrono>
+#include <filesystem>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "broker/durable.h"
 #include "net/client.h"
 #include "net/protocol.h"
 #include "net/server.h"
+#include "obs/metrics.h"
+#include "obs/obs.h"
 #include "testing/temp_dir.h"
 #include "util/crc32c.h"
 #include "wal/wal.h"
@@ -65,6 +71,35 @@ struct Harness {
   std::unique_ptr<DurableDatabase> db;
   std::unique_ptr<Server> server;
 };
+
+/// Descriptors this process holds open.
+size_t OpenFdCount() {
+  size_t count = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++count;
+  }
+  return count;
+}
+
+TEST(ServerTortureTest, FailedStartsLeakNoDescriptors) {
+  TempDir dir("torture");
+  Harness harness(dir.path());
+
+  // Binding the port the running server holds fails after the listening
+  // socket was made; so does an unparsable host. Neither may leak it.
+  ServerOptions busy;
+  busy.port = harness.server->port();
+  ServerOptions unparsable;
+  unparsable.host = "not-an-address";
+  const size_t before = OpenFdCount();
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_FALSE(Server::Start(harness.db.get(), busy).ok());
+  }
+  EXPECT_FALSE(Server::Start(harness.db.get(), unparsable).ok());
+  EXPECT_EQ(OpenFdCount(), before);
+  harness.ExpectServiceable();
+}
 
 TEST(ServerTortureTest, ClientDisconnectsMidRequest) {
   TempDir dir("torture");
@@ -196,49 +231,104 @@ TEST(ServerTortureTest, OversizedAndZeroLengthFrames) {
   harness.ExpectServiceable();
 }
 
+/// The server's state as a stalled connection sees it: bytes waiting unread
+/// in the connection's socket, requests the server holds, and bytes it has
+/// handed to the kernel (net.bytes.out; 0 without CTDB_OBS).
+struct Stall {
+  int unread = 0;
+  size_t pending = 0;
+  uint64_t bytes_out = 0;
+  bool operator==(const Stall&) const = default;
+};
+
+/// Waits until bytes have reached `fd` and nothing has moved for 100 ms:
+/// the server's sends to `fd` have stalled. Fails after 30 s.
+Stall AwaitStall(const Server& server, int fd) {
+  Stall last{-1, 0, 0};
+  for (int polls = 0, still = 0; polls < 1500; ++polls) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    Stall now;
+    EXPECT_EQ(ioctl(fd, FIONREAD, &now.unread), 0);
+    now.pending = server.pending_requests();
+    now.bytes_out =
+        obs::MetricsRegistry::Default()->Snapshot().CounterValue(
+            "net.bytes.out");
+    still = (now.unread > 0 && now == last) ? still + 1 : 0;
+    if (still == 5) return now;
+    last = now;
+  }
+  ADD_FAILURE() << "the server's sends never stalled";
+  return last;
+}
+
 TEST(ServerTortureTest, SlowReaderIsBackpressuredNotKilled) {
   TempDir dir("torture");
+  // Pipeline more stats requests (~1.7 KB JSON responses each) than the
+  // loopback socket buffers can hold the responses of (~4.2 MB with
+  // Linux's default 4 MiB tcp_wmem ceiling), in one write, and read
+  // nothing. max_pending admits the whole burst, so the responses, not
+  // admission control, are what this exercises.
+  constexpr uint64_t kRequests = 8192;
   ServerOptions options;
-  options.max_outbound_bytes = 16 * 1024;  // tiny cap: easy to fill
+  options.max_pending = kRequests;
   Harness harness(dir.path(), options);
 
   auto seed = harness.Connect();
   ASSERT_TRUE(
       seed->Call(Request::Register(0, "seed", "F pay"))->status().ok());
 
-  // Pipeline many stats requests (large JSON responses) without reading a
-  // byte. The responses vastly exceed the outbound cap and the socket's
-  // send buffer; the server must park the backlog (pausing reads if
-  // requests are still arriving) and drop nothing: once the client finally
-  // reads, every response arrives intact.
+  const uint64_t bytes_out_before =
+      obs::MetricsRegistry::Default()->Snapshot().CounterValue(
+          "net.bytes.out");
   auto slow = harness.Connect();
-  constexpr uint64_t kRequests = 256;
+  std::string burst;
   for (uint64_t id = 1; id <= kRequests; ++id) {
-    ASSERT_TRUE(slow->Send(Request::Stats(id)).ok());
+    burst += EncodeRequestFrame(Request::Stats(id));
   }
+  ASSERT_TRUE(slow->SendBytes(burst).ok());
+
+  // While the server cannot send to the slow reader, that connection holds
+  // no admission slot, and other connections are served, not shed.
+  const Stall stall = AwaitStall(*harness.server, slow->fd());
+  EXPECT_EQ(stall.pending, 0u);
+  for (int i = 0; i < 4; ++i) {
+    auto other = harness.Connect();
+    auto response = other->Call(Request::Stats(999));
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_TRUE(response->status().ok()) << response->message;
+  }
+
+  // Nothing is dropped: once the client reads, every response arrives
+  // intact.
   std::set<uint64_t> seen;
+  uint64_t response_bytes = 0;
   for (uint64_t i = 0; i < kRequests; ++i) {
     auto response = slow->Receive();
     ASSERT_TRUE(response.ok()) << "after " << i << " responses: "
                                << response.status().ToString();
     EXPECT_TRUE(response->status().ok()) << response->message;
     EXPECT_TRUE(seen.insert(response->id).second);
+    response_bytes += EncodeResponseFrame(*response).size();
   }
   EXPECT_EQ(seen.size(), kRequests);
+  // And the stall was real: the server had handed the kernel less than
+  // the responses' bytes when the sends stopped moving.
+  if (CTDB_OBS && obs::Enabled()) {
+    EXPECT_LT(stall.bytes_out - bytes_out_before, response_bytes);
+  }
   harness.ExpectServiceable();
 }
 
 TEST(ServerTortureTest, QueueOverflowShedsWithUnavailable) {
   TempDir dir("torture");
   ServerOptions options;
-  options.workers = 1;
   options.max_pending = 2;
   Harness harness(dir.path(), options);
 
   // Registrations translate their formula server-side, which takes real
-  // work — pipelining many of them through a 1-worker, max_pending=2 server
-  // must trip admission control. Shed requests get a Status::Unavailable
-  // *response* (correlation id intact), never a hang or a dropped frame.
+  // work — pipelining many of them through a max_pending=2 server must trip
+  // admission control. Shed requests get a Status::Unavailable *response*
+  // (correlation id intact), never a hang or a dropped frame.
   constexpr uint64_t kRequests = 64;
   auto client = harness.Connect();
   for (uint64_t id = 1; id <= kRequests; ++id) {

@@ -10,16 +10,13 @@
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
-#include <mutex>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "testing/counter_growth.h"
+#include "testing/crash.h"
 #include "testing/temp_dir.h"
-#include "util/crash_point.h"
 #include "util/file_util.h"
 #include "wal/record.h"
 #include "wal/segment.h"
@@ -29,6 +26,7 @@ namespace ctdb::wal {
 namespace {
 
 using ::ctdb::testing::CounterGrowth;
+using ::ctdb::testing::HoldFirstWrite;
 using ::ctdb::testing::TempDir;
 
 /// Reads and parses every segment in `dir` in index order, concatenating
@@ -275,47 +273,6 @@ TEST(WalWriterTest, RecordsEnqueuedBeforeAnyWaitFormOneGroup) {
   EXPECT_EQ(ReadLog(dir.path()), written);
 }
 
-/// Crash-point hook that holds the first leader to finish a write at
-/// wal.writer.after_write until Release, so a test can enqueue behind it.
-class HoldFirstWrite {
- public:
-  HoldFirstWrite() { util::SetCrashPointHook(&Hook); }
-  ~HoldFirstWrite() {
-    Release();
-    util::SetCrashPointHook(nullptr);
-    std::lock_guard<std::mutex> lock(mutex_);
-    held_ = released_ = false;
-  }
-  HoldFirstWrite(const HoldFirstWrite&) = delete;
-  HoldFirstWrite& operator=(const HoldFirstWrite&) = delete;
-
-  void AwaitHeld() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait(lock, [] { return held_; });
-  }
-
-  void Release() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    released_ = true;
-    cv_.notify_all();
-  }
-
- private:
-  static void Hook(const char* site) {
-    if (std::string_view(site) != "wal.writer.after_write") return;
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (held_) return;  // only the first write is held
-    held_ = true;
-    cv_.notify_all();
-    cv_.wait(lock, [] { return released_; });
-  }
-
-  static inline std::mutex mutex_;
-  static inline std::condition_variable cv_;
-  static inline bool held_ = false;
-  static inline bool released_ = false;
-};
-
 TEST(WalWriterTest, AppendersArrivingDuringAWriteShareTheNextGroup) {
   TempDir dir("walwriter");
   auto writer = LogWriter::Open(dir.path(), 1, FastOptions(FsyncPolicy::kAlways));
@@ -327,7 +284,7 @@ TEST(WalWriterTest, AppendersArrivingDuringAWriteShareTheNextGroup) {
   std::thread leader([&] {
     EXPECT_TRUE((*writer)->Append(Reg(1, "lead", "F p")).ok());
   });
-  hold.AwaitHeld();
+  EXPECT_TRUE(hold.AwaitHeld());
 
   // Meanwhile every follower enqueues and waits behind the busy leader.
   constexpr int kFollowers = 4;

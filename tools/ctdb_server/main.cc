@@ -4,11 +4,11 @@
 // --shards=N, a shard::ShardedDatabase partitioned across N durable shard
 // directories (DESIGN.md §13) — and serves the wire protocol of
 // net/protocol.h on --host:--port until SIGTERM/SIGINT,
-// then drains gracefully: stop accepting, finish in-flight requests (their
-// WAL group flushes as they complete), flush responses, close, and write
-// the final metrics snapshot to --metrics-out.
+// then drains gracefully: stop accepting, answer every request already
+// read (each write commits its WAL group before its answer), close, and
+// write the final metrics snapshot to --metrics-out.
 //
-//   ctdb_server --dir=/var/lib/ctdb --port=7421 --workers=8
+//   ctdb_server --dir=/var/lib/ctdb --port=7421
 //
 // The bound address is printed as the first stdout line
 // ("listening on <host>:<port>") so scripts can scrape an ephemeral port.
@@ -48,7 +48,7 @@ int Usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s --dir=PATH [--host=127.0.0.1] [--port=0]\n"
-      "          [--workers=4] [--db-threads=1] [--max-pending=256]\n"
+      "          [--db-threads=1] [--max-pending=256]\n"
       "          [--max-connections=1024] [--fsync=always|never]\n"
       "          [--checkpoint-log-bytes=N] [--metrics-out=PATH]\n"
       "          [--shards=N]  (0 adopts the directory's manifest)\n",
@@ -75,8 +75,6 @@ int main(int argc, char** argv) {
       server_options.host = value;
     } else if (ParseFlag(arg, "--port", &value)) {
       server_options.port = static_cast<uint16_t>(std::atoi(value.c_str()));
-    } else if (ParseFlag(arg, "--workers", &value)) {
-      server_options.workers = static_cast<size_t>(std::atol(value.c_str()));
     } else if (ParseFlag(arg, "--db-threads", &value)) {
       db_options.threads = static_cast<size_t>(std::atol(value.c_str()));
     } else if (ParseFlag(arg, "--max-pending", &value)) {
