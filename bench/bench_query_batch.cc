@@ -1,5 +1,5 @@
 // Executor benchmarks: per-call thread spawning vs. the shared
-// work-stealing pool, and per-call Query vs. the batched QueryBatch API.
+// single-queue pool, and per-call Query vs. the batched QueryBatch API.
 //
 // Three layers are measured on one generated universe:
 //  * dispatch cost alone — spawning N std::threads per call (what the

@@ -37,12 +37,8 @@ ContractDatabase::ContractDatabase(const DatabaseOptions& options)
   Publish();  // the empty snapshot, so Snapshot() is never null
 }
 
-size_t ContractDatabase::ResolveThreads(size_t requested) const {
-  const size_t threads = requested == 0 ? options_.threads : requested;
-  return threads == 0 ? 1 : threads;
-}
-
-util::ThreadPool* ContractDatabase::EnsurePool(size_t threads) const {
+util::ThreadPool* ContractDatabase::EnsurePool(size_t requested) const {
+  const size_t threads = options_.ResolveThreads(requested);
   if (threads <= 1) return nullptr;
   // The calling thread participates in ParallelFor, so `threads`-way
   // concurrency needs threads - 1 workers.
@@ -50,7 +46,7 @@ util::ThreadPool* ContractDatabase::EnsurePool(size_t threads) const {
   std::lock_guard<std::mutex> lock(pool_mutex_);
   if (pool_ == nullptr) {
     pool_ = std::make_unique<util::ThreadPool>(workers);
-  } else if (pool_->thread_count() < workers) {
+  } else {
     pool_->Grow(workers);
   }
   return pool_.get();
@@ -343,7 +339,7 @@ void ContractDatabase::PruneHistory(uint64_t horizon) {
 }
 
 Result<std::vector<uint32_t>> ContractDatabase::RegisterBatch(
-    const std::vector<BatchEntry>& entries, size_t threads,
+    const std::vector<BatchEntry>& entries,
     const std::vector<uint64_t>* clocks) {
   std::lock_guard<std::mutex> lock(writer_mutex_);
   if (clocks != nullptr) {
@@ -379,17 +375,17 @@ Result<std::vector<uint32_t>> ContractDatabase::RegisterBatch(
     built.emplace_back(Status::Internal("contract not built"));
   }
 
-  const size_t workers = std::max<size_t>(
-      1, std::min(ResolveThreads(threads),
-                  entries.size() == 0 ? 1 : entries.size()));
+  const size_t threads = options_.ResolveThreads(0);
+  const size_t workers =
+      std::min(threads, std::max<size_t>(entries.size(), 1));
+  util::ThreadPool* pool = EnsurePool(threads);
   // With a single worker the batch itself is serial, but each contract's
   // projection precompute can still use the shared executor.
-  util::ThreadPool* precompute_pool =
-      workers <= 1 ? EnsurePool(options_.threads) : nullptr;
+  util::ThreadPool* precompute_pool = workers <= 1 ? pool : nullptr;
 
-  auto build_range = [&](size_t start, size_t stride) {
+  CTDB_RETURN_NOT_OK(util::ParallelFor(pool, workers, [&](size_t w) {
     ltl::FormulaFactory local_factory;
-    for (size_t i = start; i < entries.size(); i += stride) {
+    for (size_t i = w; i < entries.size(); i += workers) {
       built[i] = [&]() -> Result<std::unique_ptr<Contract>> {
         CTDB_ASSIGN_OR_RETURN(
             const ltl::Formula* spec,
@@ -403,17 +399,8 @@ Result<std::vector<uint32_t>> ContractDatabase::RegisterBatch(
                              nullptr);
       }();
     }
-  };
-
-  if (workers <= 1) {
-    build_range(0, 1);
-  } else {
-    CTDB_RETURN_NOT_OK(EnsurePool(workers)->ParallelFor(
-        0, workers, [&](size_t t) -> Status {
-          build_range(t, workers);
-          return Status::OK();
-        }));
-  }
+    return Status::OK();
+  }));
   for (const auto& b : built) {
     CTDB_RETURN_NOT_OK(b.status());
   }
@@ -455,23 +442,20 @@ Result<EventId> ContractDatabase::InternEvent(std::string_view name) {
 Result<QueryResult> ContractDatabase::Query(std::string_view ltl_text,
                                             const QueryOptions& options) const {
   const std::shared_ptr<const DatabaseSnapshot> snapshot = Snapshot();
-  return snapshot->Query(ltl_text, options,
-                         EnsurePool(ResolveThreads(options.threads)));
+  return snapshot->Query(ltl_text, options, EnsurePool(options.threads));
 }
 
 Result<QueryResult> ContractDatabase::QueryFormula(
     const ltl::Formula* query, const QueryOptions& options) const {
   const std::shared_ptr<const DatabaseSnapshot> snapshot = Snapshot();
-  return snapshot->QueryFormula(query, options,
-                                EnsurePool(ResolveThreads(options.threads)));
+  return snapshot->QueryFormula(query, options, EnsurePool(options.threads));
 }
 
 Result<std::vector<QueryResult>> ContractDatabase::QueryBatch(
     const std::vector<std::string>& queries,
     const QueryOptions& options) const {
   const std::shared_ptr<const DatabaseSnapshot> snapshot = Snapshot();
-  return snapshot->QueryBatch(queries, options,
-                              EnsurePool(ResolveThreads(options.threads)));
+  return snapshot->QueryBatch(queries, options, EnsurePool(options.threads));
 }
 
 obs::MetricsSnapshot ContractDatabase::MetricsSnapshot() const {

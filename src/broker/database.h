@@ -138,15 +138,14 @@ class ContractDatabase {
   /// Registers many contracts at once, running the expensive per-contract
   /// work (LTL→BA translation, seed computation, projection precomputation —
   /// §7.4 observes this workload is "completely parallel") on the shared
-  /// executor with `threads`-way concurrency (0 inherits
-  /// DatabaseOptions::threads). Equivalent to registering the entries in
-  /// order; returns their ids. On any error nothing is registered, and
-  /// queries never observe a partially committed batch (one snapshot is
-  /// published at the end). `clocks`, when given, must hold one
-  /// strictly-increasing clock per entry (the sharded router's path);
-  /// nullptr self-assigns consecutive ticks.
+  /// executor with DatabaseOptions::threads-way concurrency. Equivalent to
+  /// registering the entries in order; returns their ids. On any error
+  /// nothing is registered, and queries never observe a partially committed
+  /// batch (one snapshot is published at the end). `clocks`, when given,
+  /// must hold one strictly-increasing clock per entry (the sharded
+  /// router's path); nullptr self-assigns consecutive ticks.
   Result<std::vector<uint32_t>> RegisterBatch(
-      const std::vector<BatchEntry>& entries, size_t threads = 0,
+      const std::vector<BatchEntry>& entries,
       const std::vector<uint64_t>* clocks = nullptr);
 
   /// Interns an event into the vocabulary without registering a contract,
@@ -288,15 +287,13 @@ class ContractDatabase {
   /// publication.
   void Publish();
 
-  /// Resolves a per-call thread count (0 = inherit the database default).
-  size_t ResolveThreads(size_t requested) const;
-
-  /// Returns the shared executor with at least `threads - 1` workers (the
-  /// calling thread participates in ParallelFor, so `threads`-way
-  /// concurrency needs one fewer worker), creating it or growing it in
-  /// place on demand. Returns nullptr for threads <= 1. Safe to call
-  /// concurrently (readers and writers both use it).
-  util::ThreadPool* EnsurePool(size_t threads) const;
+  /// Returns the shared executor for `requested`-way concurrency (0 =
+  /// DatabaseOptions::threads): at least `threads - 1` workers, since the
+  /// calling thread participates in ParallelFor. Creates it or grows it in
+  /// place on demand. Returns nullptr for one thread, so that
+  /// util::ParallelFor runs inline. Safe to call concurrently (readers and
+  /// writers both use it).
+  util::ThreadPool* EnsurePool(size_t requested) const;
 
   DatabaseOptions options_;
 
@@ -338,7 +335,7 @@ class ContractDatabase {
 
   /// Shared executor for every parallel phase; created lazily and grown in
   /// place (util::ThreadPool::Grow) when a call requests more concurrency
-  /// than any before it, so references held by in-flight calls stay valid.
+  /// than any before it, so pointers held by in-flight calls stay valid.
   mutable std::mutex pool_mutex_;
   mutable std::unique_ptr<util::ThreadPool> pool_;
 };

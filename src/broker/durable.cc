@@ -223,7 +223,7 @@ Result<std::vector<uint32_t>> DurableDatabase::RegisterBatchWithClocks(
     const std::vector<uint64_t>* clocks) {
   std::vector<uint32_t> ids;
   CTDB_RETURN_NOT_OK(Commit([&](std::vector<wal::Record>* log) -> Status {
-    CTDB_ASSIGN_OR_RETURN(ids, db_->RegisterBatch(entries, 0, clocks));
+    CTDB_ASSIGN_OR_RETURN(ids, db_->RegisterBatch(entries, clocks));
     // Each record logs its contract's actual valid_from so replay with
     // explicit clocks reproduces the same periods.
     const std::shared_ptr<const DatabaseSnapshot> snapshot = db_->Snapshot();
@@ -317,7 +317,12 @@ Status DurableDatabase::Checkpoint() {
 }
 
 Status DurableDatabase::Close() {
-  closed_.store(true, std::memory_order_relaxed);
+  {
+    // Under append_mutex_, so a commit that passed CheckOpen enqueues its
+    // records before the writer closes.
+    std::lock_guard<std::mutex> lock(append_mutex_);
+    closed_.store(true, std::memory_order_relaxed);
+  }
   {
     std::lock_guard<std::mutex> lock(checkpoint_thread_mutex_);
     if (checkpoint_thread_.joinable()) checkpoint_thread_.join();

@@ -103,7 +103,9 @@ class DurableDatabase : public Broker {
 
   /// Registers a contract and returns once its WAL record is durable under
   /// the configured fsync policy. Queries may observe the registration
-  /// slightly before it is durable (never after a failure).
+  /// slightly before it is durable. A Close racing it waits until its
+  /// record is queued; only a write or fsync error after the apply fails
+  /// the call while queries keep seeing the contract until a restart.
   Result<uint32_t> Register(std::string name, std::string_view ltl_text,
                             RegistrationStats* stats = nullptr) override {
     return RegisterWithClock(std::move(name), ltl_text, stats, 0);
@@ -260,6 +262,9 @@ class DurableDatabase : public Broker {
   /// Dense mutation count (the WAL sequence); guarded by append_mutex_.
   /// Seeded from recovery, advanced by every Register/Unregister/Replace.
   uint64_t sequence_ = 0;
+  /// Set by Close under append_mutex_, so no commit is between its check
+  /// and its enqueue when the writer closes. Atomic because the stream and
+  /// checkpoint paths check it without the lock.
   std::atomic<bool> closed_{false};
 
   /// Serializes checkpoints (manual vs background).

@@ -34,22 +34,7 @@ struct Plan {
   std::vector<Verdict> verdicts;            ///< one per candidate
 };
 
-/// Runs `body(w)` for every worker w in [0, workers): inline when there is
-/// one, else on `pool`.
-template <typename Body>
-Status ForEachWorker(util::ThreadPool* pool, size_t workers, const Body& body) {
-  if (workers <= 1) return body(0);
-  return pool->ParallelFor(0, workers, body);
-}
-
 }  // namespace
-
-size_t DatabaseSnapshot::ResolveThreads(size_t requested,
-                                        const util::ThreadPool* pool) const {
-  if (pool == nullptr) return 1;  // no executor: inline on the caller
-  const size_t threads = requested == 0 ? options_.threads : requested;
-  return threads == 0 ? 1 : threads;
-}
 
 Result<QueryResult> DatabaseSnapshot::Query(std::string_view ltl_text,
                                             const QueryOptions& options,
@@ -127,7 +112,9 @@ Result<std::vector<QueryResult>> DatabaseSnapshot::Run(
   }
   if (as_of) CTDB_OBS_COUNT("broker.queries.as_of", formulas.size());
   const size_t visible = as_of ? VisibleAt(clock).size() : live_count_;
-  const size_t threads = ResolveThreads(options.threads, pool);
+  // Without an executor every phase runs inline on the caller.
+  const size_t threads =
+      pool == nullptr ? 1 : options_.ResolveThreads(options.threads);
   const size_t n = formulas.size();
   std::vector<QueryResult> results(n);
   std::vector<Plan> plans(n);
@@ -159,7 +146,7 @@ Result<std::vector<QueryResult>> DatabaseSnapshot::Run(
     plan.verdicts.resize(plan.candidates.size());
     return Status::OK();
   };
-  CTDB_RETURN_NOT_OK(ForEachWorker(pool, translators, [&](size_t w) {
+  CTDB_RETURN_NOT_OK(util::ParallelFor(pool, translators, [&](size_t w) {
     std::optional<ltl::FormulaFactory> own;
     ltl::FormulaFactory* into = translators > 1 ? &own.emplace() : factory;
     for (size_t q = w; q < n; q += translators) {
@@ -185,7 +172,7 @@ Result<std::vector<QueryResult>> DatabaseSnapshot::Run(
       options.use_projections && options_.build_projections;
   {
     CTDB_OBS_SPAN(span, permission_span);
-    CTDB_RETURN_NOT_OK(ForEachWorker(pool, workers, [&](size_t w) {
+    CTDB_RETURN_NOT_OK(util::ParallelFor(pool, workers, [&](size_t w) {
       for (Plan& plan : plans) {
         for (size_t i = 0; i < plan.candidates.size(); ++i) {
           const Contract& contract = *plan.candidates[i];

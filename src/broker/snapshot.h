@@ -81,14 +81,20 @@ struct DatabaseOptions {
 
   /// Default concurrency for the database's parallel phases (registration
   /// precompute, per-candidate permission checks, batched queries). The
-  /// database lazily creates one shared work-stealing executor
-  /// (util::ThreadPool) grown in place to the largest concurrency ever
-  /// requested and reuses it across calls — no per-call thread spawn/join.
-  /// 1 (the default) reproduces the paper's single-threaded prototype
-  /// byte-for-byte: no pool is created and every phase runs inline on the
-  /// calling thread. QueryOptions::threads and RegisterBatch's `threads`
-  /// argument override this per call (there, 0 means "inherit this value").
+  /// database lazily creates one shared executor (util::ThreadPool), grown
+  /// in place to the largest concurrency ever requested, and reuses it
+  /// across calls — no per-call thread spawn/join. 1 (the default)
+  /// reproduces the paper's single-threaded prototype byte-for-byte: no
+  /// pool is created and every phase runs inline on the calling thread.
+  /// QueryOptions::threads overrides this per query.
   size_t threads = 1;
+
+  /// A call's concurrency: `requested`, or `threads` when it is 0; at
+  /// least 1.
+  size_t ResolveThreads(size_t requested) const {
+    const size_t resolved = requested == 0 ? threads : requested;
+    return resolved == 0 ? 1 : resolved;
+  }
 
   /// Number of independent durable shards the contract space is partitioned
   /// into — consumed by shard::ShardedDatabase::Open (DESIGN.md §13), where
@@ -160,9 +166,9 @@ class DatabaseSnapshot {
   /// events known to the snapshot (unknown events cannot be permitted by any
   /// contract — they are an error, to catch typos early).
   ///
-  /// `pool` is an optional executor for the parallel permission phase; with
-  /// nullptr (or an effective thread count of 1) evaluation is single
-  /// threaded on the calling thread. ContractDatabase::Query passes its
+  /// `pool` is an optional executor for the parallel phases, used with
+  /// QueryOptions::threads-way concurrency; with nullptr every phase runs
+  /// inline on the calling thread. ContractDatabase::Query passes its
   /// shared executor.
   Result<QueryResult> Query(std::string_view ltl_text,
                             const QueryOptions& options = {},
@@ -248,10 +254,6 @@ class DatabaseSnapshot {
 
  private:
   friend class ContractDatabase;  ///< the only producer of non-empty snapshots
-
-  /// Resolves a per-call thread count (0 = inherit the database default);
-  /// clamped to 1 when `pool` is null.
-  size_t ResolveThreads(size_t requested, const util::ThreadPool* pool) const;
 
   /// Query and QueryFormula: `query` as a batch of one, translated into
   /// `factory`, under a "query" span.

@@ -250,19 +250,14 @@ ContractProjections ContractProjections::Precompute(
     }
     const size_t count = level_end - level_start;
     std::vector<MaskResult> computed(count);
-    bool parallel_ok = false;
-    if (pool != nullptr && count > 1) {
-      const Status status =
-          pool->ParallelFor(0, count, [&](size_t k) -> Status {
-            computed[k] = compute_mask(masks[level_start + k]);
-            return Status::OK();
-          });
-      parallel_ok = status.ok();
-    }
-    if (!parallel_ok) {
-      // Serial path; also the fallback if a parallel body failed (so an
-      // out-of-memory style exception surfaces exactly as it would have
-      // without a pool).
+    const Status status = util::ParallelFor(pool, count, [&](size_t k) {
+      computed[k] = compute_mask(masks[level_start + k]);
+      return Status::OK();
+    });
+    if (!status.ok()) {
+      // A pooled body threw (the pool reports it as Internal): redo the
+      // level serially, so an out-of-memory style exception surfaces
+      // exactly as it would have without a pool.
       for (size_t k = 0; k < count; ++k) {
         computed[k] = compute_mask(masks[level_start + k]);
       }

@@ -45,15 +45,10 @@ auto Scatter(util::ThreadPool* pool, size_t n, const Op& op) {
   for (size_t k = 0; k < n; ++k) {
     out.emplace_back(Status::Internal("shard not reached"));
   }
-  auto one = [&](size_t k) {
+  (void)util::ParallelFor(pool, n, [&](size_t k) {
     out[k] = op(k);
     return Status::OK();
-  };
-  if (pool != nullptr) {
-    (void)pool->ParallelFor(0, n, one);
-  } else {
-    for (size_t k = 0; k < n; ++k) (void)one(k);
-  }
+  });
   return out;
 }
 

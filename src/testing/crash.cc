@@ -5,7 +5,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
-#include <string_view>
 
 #include "util/crash_point.h"
 
@@ -35,14 +34,14 @@ void Hook(const char* site) {
 constexpr auto kHoldLimit = std::chrono::seconds(10);
 std::mutex g_hold_mutex;
 std::condition_variable g_hold_cv;
+std::string g_hold_site;
 bool g_held = false;
 bool g_released = false;
 bool g_gave_up = false;
 
 void HoldHook(const char* site) {
-  if (std::string_view(site) != "wal.writer.after_write") return;
   std::unique_lock<std::mutex> lock(g_hold_mutex);
-  if (g_held) return;  // only the first write is held
+  if (g_held || site != g_hold_site) return;  // only the first hit is held
   g_held = true;
   g_hold_cv.notify_all();
   g_gave_up =
@@ -78,9 +77,10 @@ void StopCrashPoints() {
   g_armed = false;
 }
 
-HoldFirstWrite::HoldFirstWrite() {
+HoldFirstWrite::HoldFirstWrite(std::string site) {
   {
     std::lock_guard<std::mutex> lock(g_hold_mutex);
+    g_hold_site = std::move(site);
     g_held = g_released = g_gave_up = false;
   }
   util::SetCrashPointHook(&HoldHook);

@@ -13,8 +13,8 @@
 //     `fork()` first and assert on the child's exit status.
 //
 // A third helper, HoldFirstWrite, pauses instead of killing: it holds the
-// first WAL write at its crash point so a test can act while that write is
-// in flight.
+// first thread to reach a named crash point (a WAL write, say) so a test
+// can act while that operation is in flight.
 //
 // All three are process-global (the production hook is a single function
 // pointer); tests using them must not run crash scenarios concurrently.
@@ -44,15 +44,15 @@ void ArmCrashPoint(std::string site, uint64_t hit = 1);
 /// Uninstalls any recording or armed hook.
 void StopCrashPoints();
 
-/// Holds the first thread to finish a WAL write, at the
-/// wal.writer.after_write crash point, until Release — so a test can
-/// enqueue behind that write, or show that other work goes on beside it.
-/// The hold gives up after 10 s, so a test whose release never comes
-/// fails instead of hanging. One at a time; installs the hook for its
-/// lifetime.
+/// Holds the first thread to reach the crash point `site` (e.g.
+/// wal.writer.after_write, just after a WAL write) until Release — so a
+/// test can enqueue behind that write, show that other work goes on beside
+/// it, or race it. The hold gives up after 10 s, so a test whose release
+/// never comes fails instead of hanging. One at a time; installs the hook
+/// for its lifetime.
 class HoldFirstWrite {
  public:
-  HoldFirstWrite();
+  explicit HoldFirstWrite(std::string site);
   /// Releases any held write and uninstalls the hook.
   ~HoldFirstWrite();
   HoldFirstWrite(const HoldFirstWrite&) = delete;

@@ -26,6 +26,19 @@ bool StartsWith(std::string_view s, std::string_view prefix);
 /// `*value` untouched on failure.
 bool ParseUint64(std::string_view digits, uint64_t* value);
 
+/// ParseUint64 into the unsigned type of `*value`; also false when the
+/// number does not fit it (70000 for a uint16_t port, say).
+template <typename T>
+bool ParseUnsigned(std::string_view digits, T* value) {
+  uint64_t parsed = 0;
+  if (!ParseUint64(digits, &parsed) ||
+      static_cast<uint64_t>(static_cast<T>(parsed)) != parsed) {
+    return false;
+  }
+  *value = static_cast<T>(parsed);
+  return true;
+}
+
 /// printf-style formatting into a std::string.
 std::string StringFormat(const char* fmt, ...)
 #if defined(__GNUC__) || defined(__clang__)

@@ -3,221 +3,130 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
+#include <string>
 
 #include "obs/metrics.h"
 #include "util/timer.h"
 
 namespace ctdb::util {
 
-namespace {
+/// Helpers hold a shared_ptr, so ParallelFor can return once every
+/// iteration is done without waiting for helpers still queued.
+struct ThreadPool::Loop {
+  size_t begin = 0;
+  size_t n = 0;
+  const std::function<Status(size_t)>* body = nullptr;
+  std::atomic<size_t> next{0};
+  std::atomic<size_t> done{0};
+  std::atomic<bool> failed{false};
+  std::mutex mutex;
+  std::condition_variable all_done;
+  Status first_error;
 
-/// Identifies the pool (and worker slot) the current thread belongs to, so
-/// Submit can push to the local deque and ParallelFor callers can be told
-/// apart from externals.
-thread_local ThreadPool* tls_pool = nullptr;
-thread_local size_t tls_worker = 0;
+  /// Claims and runs iterations until none is left.
+  void Run() {
+    size_t i;
+    while ((i = next.fetch_add(1, std::memory_order_relaxed)) < n) {
+      if (!failed.load(std::memory_order_acquire)) {
+        Status status;
+        try {
+          status = (*body)(begin + i);
+        } catch (const std::exception& e) {
+          status = Status::Internal(std::string("ParallelFor body threw: ") +
+                                    e.what());
+        } catch (...) {
+          status = Status::Internal(
+              "ParallelFor body threw a non-standard exception");
+        }
+        if (!status.ok()) {
+          std::lock_guard<std::mutex> lock(mutex);
+          if (first_error.ok()) first_error = std::move(status);
+          failed.store(true, std::memory_order_release);
+        }
+      }
+      if (done.fetch_add(1, std::memory_order_acq_rel) + 1 == n) {
+        std::lock_guard<std::mutex> lock(mutex);
+        all_done.notify_all();
+      }
+    }
+  }
+};
 
-}  // namespace
-
-ThreadPool::ThreadPool(size_t threads, size_t max_threads) {
-  const size_t n = threads == 0 ? 1 : threads;
-  const size_t hw = std::thread::hardware_concurrency();
-  const size_t cap =
-      max_threads == 0 ? std::max(n, hw == 0 ? n : hw) : std::max(n, max_threads);
-  queues_.reserve(cap);
-  for (size_t i = 0; i < cap; ++i) {
-    queues_.push_back(std::make_unique<WorkerQueue>());
-  }
-  workers_.reserve(cap);
-  for (size_t i = 0; i < n; ++i) {
-    workers_.emplace_back(&ThreadPool::WorkerLoop, this, i);
-  }
-  active_.store(n, std::memory_order_release);
-}
-
-size_t ThreadPool::Grow(size_t threads) {
-  std::lock_guard<std::mutex> lock(grow_mutex_);
-  const size_t target = std::min(threads, queues_.size());
-  // workers_ only ever grows, and only under grow_mutex_; the destructor
-  // runs exclusively.
-  for (size_t i = workers_.size(); i < target; ++i) {
-    workers_.emplace_back(&ThreadPool::WorkerLoop, this, i);
-  }
-  if (target > active_.load(std::memory_order_relaxed)) {
-    active_.store(target, std::memory_order_release);
-  }
-  return active_.load(std::memory_order_relaxed);
-}
+ThreadPool::ThreadPool(size_t threads) { Grow(std::max<size_t>(threads, 1)); }
 
 ThreadPool::~ThreadPool() {
   {
-    std::lock_guard<std::mutex> lock(idle_mutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
     stop_ = true;
   }
-  idle_cv_.notify_all();
+  wake_.notify_all();
   for (std::thread& worker : workers_) worker.join();
 }
 
-bool ThreadPool::InWorkerThread() const { return tls_pool == this; }
-
-void ThreadPool::Enqueue(std::function<void()> task) {
-  // External tasks round-robin across the *running* workers' deques only;
-  // slots beyond active_ have no worker popping locally (they would rely on
-  // steals alone).
-  const size_t active = std::max<size_t>(1, thread_count());
-  WorkerQueue& queue =
-      InWorkerThread()
-          ? *queues_[tls_worker]
-          : *queues_[next_queue_.fetch_add(1, std::memory_order_relaxed) %
-                     active];
-  {
-    std::lock_guard<std::mutex> lock(queue.mutex);
-    queue.tasks.push_back(std::move(task));
-  }
-  CTDB_OBS_COUNT("threadpool.tasks_submitted", 1);
-  CTDB_OBS_GAUGE_ADD("threadpool.queue_depth", 1);
-  {
-    std::lock_guard<std::mutex> lock(idle_mutex_);
-    ++work_signal_;
-  }
-  idle_cv_.notify_all();
+size_t ThreadPool::thread_count() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return workers_.size();
 }
 
-void ThreadPool::Submit(std::function<void()> task) {
-  Enqueue(std::move(task));
+size_t ThreadPool::Grow(size_t threads) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  while (workers_.size() < threads) {
+    workers_.emplace_back(&ThreadPool::WorkerLoop, this);
+  }
+  return workers_.size();
 }
 
-bool ThreadPool::PopOrSteal(size_t worker, std::function<void()>* task) {
-  WorkerQueue& own = *queues_[worker];
-  {
-    std::lock_guard<std::mutex> lock(own.mutex);
-    if (!own.tasks.empty()) {
-      *task = std::move(own.tasks.back());
-      own.tasks.pop_back();
-      CTDB_OBS_GAUGE_ADD("threadpool.queue_depth", -1);
-      return true;
-    }
-  }
-  for (size_t k = 1; k < queues_.size(); ++k) {
-    WorkerQueue& victim = *queues_[(worker + k) % queues_.size()];
-    std::lock_guard<std::mutex> lock(victim.mutex);
-    if (!victim.tasks.empty()) {
-      *task = std::move(victim.tasks.front());
-      victim.tasks.pop_front();
-      CTDB_OBS_GAUGE_ADD("threadpool.queue_depth", -1);
-      CTDB_OBS_COUNT("threadpool.steals", 1);
-      return true;
-    }
-  }
-  return false;
-}
-
-bool ThreadPool::AnyQueued() {
-  for (auto& queue : queues_) {
-    std::lock_guard<std::mutex> lock(queue->mutex);
-    if (!queue->tasks.empty()) return true;
-  }
-  return false;
-}
-
-void ThreadPool::WorkerLoop(size_t worker) {
-  tls_pool = this;
-  tls_worker = worker;
+void ThreadPool::WorkerLoop() {
+  std::unique_lock<std::mutex> lock(mutex_);
   while (true) {
-    // Snapshot the signal *before* scanning the deques: any task enqueued
-    // after this point bumps the signal, so the wait below cannot miss it.
-    uint64_t seen;
-    {
-      std::lock_guard<std::mutex> lock(idle_mutex_);
-      seen = work_signal_;
-    }
-    std::function<void()> task;
-    if (PopOrSteal(worker, &task)) {
+    wake_.wait(lock, [&] { return stop_ || !queue_.empty(); });
+    if (queue_.empty()) return;  // stopped, and nothing left to run
+    const std::shared_ptr<Loop> loop = std::move(queue_.front());
+    queue_.pop_front();
+    CTDB_OBS_GAUGE_ADD("threadpool.queue_depth", -1);
+    lock.unlock();
 #if CTDB_OBS
-      if (obs::Enabled()) {
-        const Timer timer;
-        task();
-        CTDB_OBS_HIST("threadpool.task_latency_us",
-                      static_cast<uint64_t>(timer.ElapsedMicros()));
-        continue;
-      }
+    if (obs::Enabled()) {
+      const Timer timer;
+      loop->Run();
+      CTDB_OBS_HIST("threadpool.task_latency_us",
+                    static_cast<uint64_t>(timer.ElapsedMicros()));
+    } else {
+      loop->Run();
+    }
+#else
+    loop->Run();
 #endif
-      task();
-      continue;
-    }
-    std::unique_lock<std::mutex> lock(idle_mutex_);
-    if (stop_) {
-      if (!AnyQueued()) break;  // graceful shutdown: drain first
-      continue;
-    }
-    if (work_signal_ != seen) continue;  // raced with an enqueue: rescan
-    idle_cv_.wait(lock,
-                  [&] { return stop_ || work_signal_ != seen; });
+    lock.lock();
   }
 }
 
 Status ThreadPool::ParallelFor(size_t begin, size_t end,
                                const std::function<Status(size_t)>& body) {
   if (begin >= end) return Status::OK();
-  const size_t n = end - begin;
+  auto loop = std::make_shared<Loop>();
+  loop->begin = begin;
+  loop->n = end - begin;
+  loop->body = &body;
 
-  // Shared iteration state. Helpers hold a shared_ptr so ParallelFor can
-  // return as soon as every *iteration* is done, without waiting for
-  // helper tasks that never got scheduled (they run later as no-ops).
-  struct State {
-    size_t begin;
-    size_t n;
-    const std::function<Status(size_t)>* body;
-    std::atomic<size_t> next{0};
-    std::atomic<size_t> done{0};
-    std::atomic<bool> failed{false};
-    std::mutex mutex;
-    std::condition_variable all_done;
-    Status first_error;
-
-    void Run() {
-      size_t i;
-      while ((i = next.fetch_add(1, std::memory_order_relaxed)) < n) {
-        if (!failed.load(std::memory_order_acquire)) {
-          Status status;
-          try {
-            status = (*body)(begin + i);
-          } catch (const std::exception& e) {
-            status = Status::Internal(std::string("ParallelFor body threw: ") +
-                                      e.what());
-          } catch (...) {
-            status = Status::Internal("ParallelFor body threw a non-standard "
-                                      "exception");
-          }
-          if (!status.ok()) {
-            std::lock_guard<std::mutex> lock(mutex);
-            if (first_error.ok()) first_error = std::move(status);
-            failed.store(true, std::memory_order_release);
-          }
-        }
-        if (done.fetch_add(1, std::memory_order_acq_rel) + 1 == n) {
-          std::lock_guard<std::mutex> lock(mutex);
-          all_done.notify_all();
-        }
-      }
-    }
-  };
-  auto state = std::make_shared<State>();
-  state->begin = begin;
-  state->n = n;
-  state->body = &body;
-
-  const size_t helpers = std::min(thread_count(), n - 1);
-  for (size_t h = 0; h < helpers; ++h) {
-    Enqueue([state] { state->Run(); });
+  size_t helpers = 0;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    helpers = std::min(workers_.size(), loop->n - 1);
+    queue_.insert(queue_.end(), helpers, loop);
+    CTDB_OBS_GAUGE_ADD("threadpool.queue_depth", helpers);
   }
-  state->Run();  // the caller participates — see header for why
+  CTDB_OBS_COUNT("threadpool.tasks_submitted", helpers);
+  // One wake per helper: waking every idle worker at once measured slower
+  // on the sharded router's scatter.
+  for (size_t h = 0; h < helpers; ++h) wake_.notify_one();
+  loop->Run();  // the caller participates — see header for why
 
-  std::unique_lock<std::mutex> lock(state->mutex);
-  state->all_done.wait(lock, [&] {
-    return state->done.load(std::memory_order_acquire) == n;
+  std::unique_lock<std::mutex> lock(loop->mutex);
+  loop->all_done.wait(lock, [&] {
+    return loop->done.load(std::memory_order_acquire) == loop->n;
   });
-  return state->first_error;
+  return loop->first_error;
 }
 
 }  // namespace ctdb::util

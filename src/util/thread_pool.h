@@ -1,47 +1,34 @@
-// A reusable work-stealing thread-pool executor.
+// The executor behind every parallel phase.
 //
-// The broker's parallel workloads (per-candidate permission checks,
-// batch registration, projection precompute — all "completely parallel",
-// §7.4) used to spawn and join raw std::threads on every call, paying
-// thread-startup latency per request. This pool is created once (owned by
-// the ContractDatabase) and reused: a fixed set of workers, each with its
-// own task deque, popping locally in LIFO order for cache locality and
-// stealing from other workers in FIFO order when idle.
+// Each parallel phase is a loop of independent iterations: the
+// per-candidate permission checks and the registration-time precompute
+// that §7.4 calls "completely parallel", and the sharded router's one call
+// per shard. So ParallelFor is the pool's only operation. A pool is created
+// once (owned by the ContractDatabase, or by the router) and reused, so no
+// call pays thread-startup latency.
 //
-// Scheduling model:
-//  * `Submit` enqueues a fire-and-forget task. Calls from a worker thread
-//    push onto that worker's own deque (cheap, steal-able); external calls
-//    distribute round-robin across the deques.
-//  * `ParallelFor(begin, end, body)` runs `body(i)` for every i in
-//    [begin, end) and blocks until all iterations finished. The calling
-//    thread participates (it claims iterations from the same atomic
-//    counter as the workers), which makes nested ParallelFor calls from
-//    inside pool tasks deadlock-free: the innermost caller can always
-//    drain its own iteration space even when every worker is busy.
-//  * Errors propagate as Status: the first non-OK Status returned by a
-//    body — or the first exception it throws, converted to
-//    Status::Internal — is returned from ParallelFor, and remaining
-//    unclaimed iterations are skipped.
+// Scheduling model: the workers share one mutex-guarded queue. A
+// ParallelFor over n iterations queues up to min(workers, n - 1) helper
+// tasks, and the calling thread and every helper claim iterations from one
+// shared atomic counter until none is left. Because the caller claims
+// iterations too, a ParallelFor called from inside a body (nested) always
+// finishes, even on a 1-worker pool whose one worker is the caller itself.
+// The call returns once every iteration is done; a helper dequeued later
+// finds nothing left to claim and returns at once.
 //
-// Shutdown is graceful: the destructor lets workers drain every queued
-// task before joining them.
+// Errors: the first non-OK Status returned by a body, or the first
+// exception it throws (converted to Status::Internal), is the call's
+// result, and iterations not yet claimed are skipped.
 //
-// Growth semantics: the pool can grow *in place*, up to a capacity fixed at
-// construction (default: max(initial workers, hardware concurrency)). Grow
-// starts additional workers on the pre-allocated deque slots and never
-// replaces the pool, so a warm pool — its OS threads and any pointer callers
-// hold to it — survives a request for more concurrency. Requests beyond the
-// capacity are clamped: ParallelFor stays correct with fewer workers than
-// requested shards because every participant (workers and the calling
-// thread) claims iterations from one shared counter; the clamp only reduces
-// parallelism, never drops work. The pool never shrinks.
+// Growth: Grow starts more workers in place. The pool never shrinks and is
+// never replaced, so a pointer to it stays valid; a pool with fewer workers
+// than a loop has iterations only loses parallelism, never work.
 //
-// Thread-safety: Submit/ParallelFor/Grow may be called concurrently from any
-// thread, including pool workers.
+// Thread-safety: ParallelFor and Grow may be called concurrently from any
+// thread, including from inside a body.
 
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -55,34 +42,25 @@
 
 namespace ctdb::util {
 
-/// \brief Work-stealing executor that can grow in place (see header).
+/// \brief A growable set of workers sharing one queue (see header).
 class ThreadPool {
  public:
-  /// Starts `threads` workers (clamped to at least 1). `max_threads` fixes
-  /// the growth capacity; 0 picks max(threads, hardware concurrency).
-  explicit ThreadPool(size_t threads, size_t max_threads = 0);
+  /// Starts `threads` workers (clamped to at least 1).
+  explicit ThreadPool(size_t threads);
 
-  /// Drains all queued tasks, then joins the workers.
+  /// Runs the helpers still queued (each finds its loop finished), then
+  /// joins the workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   /// Currently running workers.
-  size_t thread_count() const {
-    return active_.load(std::memory_order_acquire);
-  }
+  size_t thread_count() const;
 
-  /// Fixed growth ceiling (see header).
-  size_t capacity() const { return queues_.size(); }
-
-  /// Grows to at least `threads` workers in place, clamped to capacity();
-  /// never shrinks. Returns the worker count after growing. Safe to call
-  /// concurrently with Submit/ParallelFor and with other Grow calls.
+  /// Grows to at least `threads` workers in place; never shrinks. Returns
+  /// the worker count after growing.
   size_t Grow(size_t threads);
-
-  /// Enqueues a fire-and-forget task.
-  void Submit(std::function<void()> task);
 
   /// Runs `body(i)` for i in [begin, end) on the workers and the calling
   /// thread; returns once every iteration completed (or was skipped after
@@ -91,38 +69,29 @@ class ThreadPool {
   Status ParallelFor(size_t begin, size_t end,
                      const std::function<Status(size_t)>& body);
 
-  /// True when called from one of this pool's worker threads.
-  bool InWorkerThread() const;
-
  private:
-  struct WorkerQueue {
-    std::mutex mutex;
-    std::deque<std::function<void()>> tasks;
-  };
+  struct Loop;  ///< one ParallelFor's shared iteration state
 
-  void WorkerLoop(size_t worker);
-  /// Pops from `worker`'s own deque (LIFO) or steals from another (FIFO).
-  bool PopOrSteal(size_t worker, std::function<void()>* task);
-  bool AnyQueued();
-  void Enqueue(std::function<void()> task);
+  void WorkerLoop();
 
-  /// Sized to capacity() at construction and never resized afterwards, so
-  /// workers and enqueuers can index it without synchronization; only the
-  /// first `active_` slots ever receive tasks.
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;
-  std::vector<std::thread> workers_;
-  std::atomic<size_t> active_{0};
-  std::mutex grow_mutex_;  ///< serializes Grow (workers_ appends)
-
-  /// Guards the sleep/wake protocol. `work_signal_` is bumped under this
-  /// mutex after every enqueue, so a worker that saw empty deques can
-  /// detect tasks that arrived between its scan and its wait.
-  std::mutex idle_mutex_;
-  std::condition_variable idle_cv_;
-  uint64_t work_signal_ = 0;
+  mutable std::mutex mutex_;  ///< guards everything below
+  std::condition_variable wake_;
+  /// One entry per queued helper; a Loop appears once per helper it asked
+  /// for.
+  std::deque<std::shared_ptr<Loop>> queue_;
   bool stop_ = false;
-
-  std::atomic<size_t> next_queue_{0};  ///< round-robin target for externals
+  std::vector<std::thread> workers_;
 };
+
+/// Runs `body(i)` for every i in [0, n): on `pool` when there is one and
+/// n > 1 (ThreadPool::ParallelFor), else inline on the calling thread in
+/// index order, stopping at the first error, which it returns. Inline, an
+/// exception thrown by `body` propagates to the caller.
+template <typename Body>
+Status ParallelFor(ThreadPool* pool, size_t n, const Body& body) {
+  if (pool != nullptr && n > 1) return pool->ParallelFor(0, n, body);
+  for (size_t i = 0; i < n; ++i) CTDB_RETURN_NOT_OK(body(i));
+  return Status::OK();
+}
 
 }  // namespace ctdb::util

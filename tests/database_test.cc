@@ -239,8 +239,10 @@ TEST_F(DatabaseTest, RegisterBatchMatchesSequentialRegistration) {
     ASSERT_TRUE(sequential.Register(e.name, e.ltl_text).ok());
   }
   for (size_t threads : {1u, 3u, 8u}) {
-    ContractDatabase batched;
-    auto ids = batched.RegisterBatch(entries, threads);
+    DatabaseOptions options;
+    options.threads = threads;
+    ContractDatabase batched(options);
+    auto ids = batched.RegisterBatch(entries);
     ASSERT_TRUE(ids.ok()) << ids.status();
     ASSERT_EQ(ids->size(), entries.size());
     EXPECT_EQ(batched.size(), sequential.size());
@@ -256,13 +258,15 @@ TEST_F(DatabaseTest, RegisterBatchMatchesSequentialRegistration) {
 }
 
 TEST_F(DatabaseTest, RegisterBatchIsAtomicOnError) {
-  ContractDatabase db;
+  DatabaseOptions options;
+  options.threads = 2;
+  ContractDatabase db(options);
   ASSERT_TRUE(db.Register("keep", "G(p -> F q)").ok());
   std::vector<ContractDatabase::BatchEntry> entries = {
       {"good", "F p"},
       {"bad", "G(p ->"},  // parse error
   };
-  EXPECT_FALSE(db.RegisterBatch(entries, 2).ok());
+  EXPECT_FALSE(db.RegisterBatch(entries).ok());
   EXPECT_EQ(db.size(), 1u);  // nothing from the failed batch
 }
 

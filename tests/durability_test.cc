@@ -1,7 +1,8 @@
 // End-to-end tests for the durable broker: register/close/recover round
 // trips, checkpoint-driven log truncation, fallback past corrupt
 // checkpoints, torn-tail truncation, sequence-gap detection, automatic
-// checkpoints, and the crash-safe SaveDatabaseToFile.
+// checkpoints, a close racing a commit, and the crash-safe
+// SaveDatabaseToFile.
 
 #include "broker/durable.h"
 
@@ -10,12 +11,14 @@
 #include <algorithm>
 #include <chrono>
 #include <fstream>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "broker/persistence.h"
 #include "testing/counter_growth.h"
+#include "testing/crash.h"
 #include "testing/temp_dir.h"
 #include "util/file_util.h"
 #include "wal/segment.h"
@@ -141,6 +144,36 @@ TEST(DurabilityTest, RegisterAfterCloseFails) {
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   ASSERT_TRUE((*db)->Close().ok());
   EXPECT_FALSE((*db)->Register("late", "F pay").ok());
+}
+
+TEST(DurabilityTest, CloseWaitsForAnAppliedMutationToReachTheLog) {
+  // A commit that passed the open check and applied its mutation must reach
+  // the log even when Close runs meanwhile, or memory and disk disagree.
+  // The unregister is held just after its apply while another thread
+  // closes the database.
+  TempDir dir("durable");
+  {
+    auto db = DurableDatabase::Open(dir.path(), FastOptions());
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    RegisterN(db->get(), 1);
+    testing::HoldFirstWrite hold("durable.unregister.after_apply");
+    Result<uint64_t> unregistered = Status::Internal("not run");
+    std::thread mutator([&] { unregistered = (*db)->Unregister(0); });
+    EXPECT_TRUE(hold.AwaitHeld());
+    auto closed =
+        std::async(std::launch::async, [&] { return (*db)->Close(); });
+    EXPECT_EQ(closed.wait_for(std::chrono::milliseconds(500)),
+              std::future_status::timeout)
+        << "Close finished while a commit was between apply and enqueue";
+    hold.Release();
+    mutator.join();
+    EXPECT_TRUE(closed.get().ok());
+    EXPECT_TRUE(unregistered.ok()) << unregistered.status().ToString();
+    EXPECT_EQ((*db)->size(), 0u);
+  }
+  auto reopened = DurableDatabase::Open(dir.path(), FastOptions());
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->size(), 0u);
 }
 
 TEST(DurabilityTest, CheckpointTruncatesLogAndSpeedsRecovery) {

@@ -362,7 +362,7 @@ TEST(ServerIntegrationTest, SlowRequestDoesNotHoldUpAnotherConnection) {
 
   // The slow connection's registration is held inside its WAL write; the
   // other connection must still be answered meanwhile.
-  testing::HoldFirstWrite hold;
+  testing::HoldFirstWrite hold("wal.writer.after_write");
   ASSERT_TRUE(slow->Send(Request::Register(1, "held", "F pay")).ok());
   ASSERT_TRUE(hold.AwaitHeld());
   auto stats = other->Call(Request::Stats(2));

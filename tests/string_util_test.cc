@@ -50,6 +50,21 @@ TEST(StringUtilTest, ParseUint64RejectsOverflowAndNonDigits) {
   EXPECT_EQ(value, 7u);
 }
 
+TEST(StringUtilTest, ParseUnsignedRejectsWhatDoesNotFitTheType) {
+  uint16_t port = 7;
+  ASSERT_TRUE(ParseUnsigned("65535", &port));
+  EXPECT_EQ(port, 65535u);
+  port = 7;
+  EXPECT_FALSE(ParseUnsigned("65536", &port));
+  EXPECT_FALSE(ParseUnsigned("70000", &port));
+  EXPECT_FALSE(ParseUnsigned("-1", &port));
+  EXPECT_FALSE(ParseUnsigned("x", &port));
+  EXPECT_EQ(port, 7u);
+  size_t threads = 0;
+  ASSERT_TRUE(ParseUnsigned("18446744073709551615", &threads));
+  EXPECT_EQ(threads, SIZE_MAX);
+}
+
 TEST(StringUtilTest, StringFormat) {
   EXPECT_EQ(StringFormat("%d-%s", 42, "x"), "42-x");
   EXPECT_EQ(StringFormat("%.2f", 3.14159), "3.14");

@@ -278,7 +278,7 @@ TEST(WalWriterTest, AppendersArrivingDuringAWriteShareTheNextGroup) {
   auto writer = LogWriter::Open(dir.path(), 1, FastOptions(FsyncPolicy::kAlways));
   ASSERT_TRUE(writer.ok()) << writer.status().ToString();
   const CounterGrowth growth;
-  HoldFirstWrite hold;
+  HoldFirstWrite hold("wal.writer.after_write");
 
   // The first appender leads a group of one and is held inside its write.
   std::thread leader([&] {

@@ -15,7 +15,6 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -27,8 +26,11 @@
 #include "shard/sharded.h"
 #include "obs/metrics.h"
 #include "util/result.h"
+#include "util/string_util.h"
 
 namespace {
+
+using ctdb::ParseUnsigned;
 
 ctdb::net::Server* g_server = nullptr;
 
@@ -74,15 +76,17 @@ int main(int argc, char** argv) {
     } else if (ParseFlag(arg, "--host", &value)) {
       server_options.host = value;
     } else if (ParseFlag(arg, "--port", &value)) {
-      server_options.port = static_cast<uint16_t>(std::atoi(value.c_str()));
+      if (!ParseUnsigned(value, &server_options.port)) return Usage(argv[0]);
     } else if (ParseFlag(arg, "--db-threads", &value)) {
-      db_options.threads = static_cast<size_t>(std::atol(value.c_str()));
+      if (!ParseUnsigned(value, &db_options.threads)) return Usage(argv[0]);
     } else if (ParseFlag(arg, "--max-pending", &value)) {
-      server_options.max_pending =
-          static_cast<size_t>(std::atol(value.c_str()));
+      if (!ParseUnsigned(value, &server_options.max_pending)) {
+        return Usage(argv[0]);
+      }
     } else if (ParseFlag(arg, "--max-connections", &value)) {
-      server_options.max_connections =
-          static_cast<size_t>(std::atol(value.c_str()));
+      if (!ParseUnsigned(value, &server_options.max_connections)) {
+        return Usage(argv[0]);
+      }
     } else if (ParseFlag(arg, "--fsync", &value)) {
       if (value == "always") {
         durability.fsync_policy = ctdb::wal::FsyncPolicy::kAlways;
@@ -92,10 +96,11 @@ int main(int argc, char** argv) {
         return Usage(argv[0]);
       }
     } else if (ParseFlag(arg, "--checkpoint-log-bytes", &value)) {
-      durability.checkpoint_log_bytes =
-          static_cast<uint64_t>(std::atoll(value.c_str()));
+      if (!ParseUnsigned(value, &durability.checkpoint_log_bytes)) {
+        return Usage(argv[0]);
+      }
     } else if (ParseFlag(arg, "--shards", &value)) {
-      db_options.shards = static_cast<size_t>(std::atol(value.c_str()));
+      if (!ParseUnsigned(value, &db_options.shards)) return Usage(argv[0]);
       sharded = true;
     } else if (ParseFlag(arg, "--metrics-out", &value)) {
       metrics_out = value;

@@ -24,10 +24,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstddef>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -47,6 +48,7 @@
 
 namespace {
 
+using ctdb::ParseUnsigned;
 using ctdb::net::Client;
 using ctdb::net::Request;
 using ctdb::net::Response;
@@ -92,6 +94,19 @@ bool ParseFlag(const char* arg, const char* name, std::string* value) {
   const size_t len = std::strlen(name);
   if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
   *value = arg + len + 1;
+  return true;
+}
+
+/// Parses `text` as a finite decimal number no smaller than 0.
+bool ParseNonNegative(const std::string& text, double* value) {
+  const char* end = text.data() + text.size();
+  double parsed = 0;
+  const auto [stop, error] = std::from_chars(text.data(), end, parsed);
+  if (error != std::errc() || stop != end || !std::isfinite(parsed) ||
+      parsed < 0) {
+    return false;
+  }
+  *value = parsed;
   return true;
 }
 
@@ -389,31 +404,33 @@ int main(int argc, char** argv) {
     if (ParseFlag(arg, "--host", &value)) {
       options.host = value;
     } else if (ParseFlag(arg, "--port", &value)) {
-      options.port = static_cast<uint16_t>(std::atoi(value.c_str()));
+      if (!ParseUnsigned(value, &options.port)) return Usage(argv[0]);
     } else if (ParseFlag(arg, "--connections", &value)) {
-      options.connections = static_cast<size_t>(std::atol(value.c_str()));
+      if (!ParseUnsigned(value, &options.connections)) return Usage(argv[0]);
     } else if (ParseFlag(arg, "--duration-s", &value)) {
-      options.duration_s = std::atof(value.c_str());
+      if (!ParseNonNegative(value, &options.duration_s)) return Usage(argv[0]);
     } else if (ParseFlag(arg, "--qps", &value)) {
-      options.qps = std::atof(value.c_str());
+      if (!ParseNonNegative(value, &options.qps)) return Usage(argv[0]);
     } else if (ParseFlag(arg, "--contracts", &value)) {
-      options.contracts = static_cast<size_t>(std::atol(value.c_str()));
+      if (!ParseUnsigned(value, &options.contracts)) return Usage(argv[0]);
     } else if (ParseFlag(arg, "--register-pct", &value)) {
-      options.register_pct = static_cast<size_t>(std::atol(value.c_str()));
+      if (!ParseUnsigned(value, &options.register_pct)) return Usage(argv[0]);
     } else if (ParseFlag(arg, "--query-batch-pct", &value)) {
-      options.query_batch_pct = static_cast<size_t>(std::atol(value.c_str()));
+      if (!ParseUnsigned(value, &options.query_batch_pct)) {
+        return Usage(argv[0]);
+      }
     } else if (std::strcmp(arg, "--lifecycle-mix") == 0) {
       options.lifecycle_pct = 20;
     } else if (ParseFlag(arg, "--lifecycle-mix", &value)) {
-      options.lifecycle_pct = static_cast<size_t>(std::atol(value.c_str()));
+      if (!ParseUnsigned(value, &options.lifecycle_pct)) return Usage(argv[0]);
     } else if (std::strcmp(arg, "--stream-mix") == 0) {
       options.stream_pct = 20;
     } else if (ParseFlag(arg, "--stream-mix", &value)) {
-      options.stream_pct = static_cast<size_t>(std::atol(value.c_str()));
+      if (!ParseUnsigned(value, &options.stream_pct)) return Usage(argv[0]);
     } else if (ParseFlag(arg, "--batch-size", &value)) {
-      options.batch_size = static_cast<size_t>(std::atol(value.c_str()));
+      if (!ParseUnsigned(value, &options.batch_size)) return Usage(argv[0]);
     } else if (ParseFlag(arg, "--seed", &value)) {
-      options.seed = std::strtoull(value.c_str(), nullptr, 0);
+      if (!ParseUnsigned(value, &options.seed)) return Usage(argv[0]);
     } else if (ParseFlag(arg, "--metrics-out", &value)) {
       options.metrics_out = value;
     } else {
